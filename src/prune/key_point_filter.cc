@@ -128,13 +128,8 @@ double KpfBoundPlan::LowerBound(TrajectoryView data) const {
   return total / effective_rate_;
 }
 
-void KpfBoundPlan::OrderByBound(DatasetView data, std::vector<int>* ids,
-                                std::vector<double>* bounds) const {
-  bounds->resize(ids->size());
-  for (size_t c = 0; c < ids->size(); ++c) {
-    const TrajectoryRef candidate = data[(*ids)[c]];
-    (*bounds)[c] = candidate.empty() ? 0.0 : LowerBound(candidate);
-  }
+void KpfBoundPlan::SortByBound(std::vector<int>* ids,
+                               std::vector<double>* bounds) {
   // Sort an index permutation, then apply it to both arrays; `ids` arrives
   // ascending, so (bound, id) ordering equals (bound, position) ordering.
   thread_local std::vector<std::pair<double, int>> order;

@@ -58,17 +58,29 @@ class KpfBoundPlan {
 
   /// Bound-for-ordering hook for the engine's shared-threshold search when
   /// no grid index is available: computes LowerBound for every candidate in
-  /// `ids` (resolved through `data`, view-local ids) into `bounds` (parallel
-  /// to `ids`), then stably reorders both by ascending bound, ascending id
-  /// on ties. Candidates with the smallest lower bounds — the only ones that
-  /// can beat a tight threshold — run first and tighten the global top-K
-  /// early; the computed bounds are returned so the caller's bound filter
-  /// can reuse them instead of recomputing. Empty candidates get bound 0
-  /// (never pruned, matching the engine's empty-trajectory skip).
-  void OrderByBound(DatasetView data, std::vector<int>* ids,
-                    std::vector<double>* bounds) const;
+  /// `ids` (resolved through `data` — a DatasetView or a DeltaView, source-
+  /// local ids) into `bounds` (parallel to `ids`), then stably reorders both
+  /// by ascending bound, ascending id on ties. Candidates with the smallest
+  /// lower bounds — the only ones that can beat a tight threshold — run
+  /// first and tighten the global top-K early; the computed bounds are
+  /// returned so the caller's bound filter can reuse them instead of
+  /// recomputing. Empty candidates get bound 0 (never pruned, matching the
+  /// engine's empty-trajectory skip).
+  template <typename Source>
+  void OrderByBound(const Source& data, std::vector<int>* ids,
+                    std::vector<double>* bounds) const {
+    bounds->resize(ids->size());
+    for (size_t c = 0; c < ids->size(); ++c) {
+      const TrajectoryView candidate = data[(*ids)[c]];
+      (*bounds)[c] = candidate.empty() ? 0.0 : LowerBound(candidate);
+    }
+    SortByBound(ids, bounds);
+  }
 
  private:
+  /// Reorders `ids` and the parallel `bounds` by (bound, id) ascending.
+  static void SortByBound(std::vector<int>* ids, std::vector<double>* bounds);
+
   DistanceSpec spec_;
   TrajectoryView query_;
   bool use_max_ = false;        // Fréchet aggregates by max, not sum

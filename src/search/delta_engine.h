@@ -1,54 +1,48 @@
 #pragma once
 
-#include <memory>
-
 #include "core/live_dataset.h"
 #include "prune/delta_grid.h"
 #include "search/engine.h"
+#include "util/check.h"
 
 namespace trajsearch {
 
 /// \brief Search stage over a live corpus's delta.
 ///
 /// The base corpus is served by the sharded SearchEngines; the trajectories
-/// appended since the last compaction run through this engine instead. It is
-/// the same three-stage pipeline — candidate generation (DeltaGridIndex
-/// postings, or every delta trajectory when GBP is off), KPF/OSF bound
-/// filtering, and pooled bind-once QueryRun plans with early abandoning —
-/// offering hits into the caller's SharedTopK with corpus ids, so the base
-/// shards and the delta prune against one corpus-wide K-th-best threshold
-/// and the merged result is hit-for-hit what one engine over the flattened
-/// corpus would return (under a sound bound).
-///
-/// The delta is compaction-bounded and small, so the stage runs serially
-/// inside its (query, delta) task; parallelism comes from the service
-/// fanning it out alongside the per-shard tasks. QueryInto is safe to call
-/// concurrently; plans are pooled per engine exactly like SearchEngine's.
+/// appended since the last compaction run through this engine instead. It
+/// is the same CandidatePipeline over a second candidate source — the
+/// DeltaView and its DeltaGridIndex instead of a DatasetView and its
+/// GridIndex — so the delta follows every rule the base does (`threads`,
+/// ordering, bound ordering without a grid, batching, threshold sharing).
+/// Hits are offered into the caller's SharedTopK with corpus ids, so the
+/// base shards and the delta prune against one corpus-wide K-th-best
+/// threshold and the merged result is hit-for-hit what one engine over the
+/// flattened corpus would return (under a sound bound). QueryInto is safe
+/// to call concurrently.
 class DeltaEngine {
  public:
-  /// Uses the same options as the shard engines (algorithm, distance, GBP
-  /// mu, KPF/OSF and their rates, early-abandon and threshold-sharing
-  /// toggles). `threads` and `scheduler` are ignored — see above.
-  explicit DeltaEngine(EngineOptions options);
+  /// Uses the same options as the shard engines.
+  explicit DeltaEngine(EngineOptions options) : pipeline_(options) {}
 
   /// Evaluates the delta trajectories of one pinned generation. `grid` is
   /// the generation's DeltaGridIndex (null runs every delta trajectory, the
   /// GBP-off pipeline). Hits are offered as corpus ids: delta id +
   /// `id_offset` (the generation's base size). `excluded_id` is delta-local
-  /// (-1 for none). Timing/pruning counters accumulate into `stats`.
+  /// (-1 for none).
   void QueryInto(TrajectoryView query, const DeltaView& delta,
                  const DeltaGridIndex* grid, SharedTopK* topk, int id_offset,
-                 QueryStats* stats = nullptr, int excluded_id = -1) const;
+                 QueryStats* stats = nullptr, int excluded_id = -1) const {
+    TRAJ_DCHECK(grid == nullptr || grid->size() == delta.size());
+    pipeline_.Run(query, delta, grid, topk, id_offset, stats, excluded_id);
+  }
 
-  const EngineOptions& options() const { return options_; }
+  const EngineOptions& options() const { return pipeline_.options(); }
 
  private:
-  EngineOptions options_;
-  std::unique_ptr<Searcher> searcher_;
-  mutable PlanPool plans_;  // same pooling discipline as SearchEngine
   /// Folds into the same `engine.<Algorithm>.funnel.*` counters as the base
   /// shard engines (delta hits flow through the same pipeline stages).
-  FunnelCounters funnel_;
+  CandidatePipeline pipeline_;
 };
 
 }  // namespace trajsearch

@@ -41,9 +41,10 @@ struct EngineOptions {
   /// Trained policy for kRls / kRlsSkip (optional; untrained if null).
   const RlsPolicy* rls_policy = nullptr;
   /// Worker threads for the search stage (1 = the paper's serial pipeline).
-  /// With more threads, candidates are processed in chunks pulled from a
-  /// shared counter by up to `threads` worker tasks on the scheduler pool;
-  /// all workers prune against one global SharedTopK threshold. Results are
+  /// Candidates are processed in chunks pulled from a shared counter by up
+  /// to `threads` workers: the calling thread plus tasks on the scheduler
+  /// pool. The same rule holds for the base shards and the live delta. By
+  /// default all workers prune against one global SharedTopK. Results are
   /// identical to the serial engine whenever the bound is sound (KPF at
   /// sample_rate 1.0, OSF, or bounds off) — a *sampled* KPF estimate may
   /// prune differently depending on when the shared threshold tightened.
@@ -55,16 +56,15 @@ struct EngineOptions {
   bool use_early_abandon = true;
   /// All workers of one query (and, under the service, all shards) prune
   /// against one global SharedTopK threshold. When false, each worker keeps
-  /// a PR-3-style local top-K (merged canonically at the end) and the
-  /// service merges per-shard heaps — a strictly weaker abandon threshold,
+  /// a private SharedTopK (merged canonically at the end) and the service
+  /// merges per-part top-Ks — a strictly weaker abandon threshold,
   /// kept as a benchmarking/ablation baseline; candidates then always run
-  /// in ascending id order (`order_candidates` is ignored), because the
-  /// local-heap thresholds are only tie-safe on id-ascending worker
-  /// streams. Results are identical either way under a sound bound; under
-  /// a *sampled* estimate the shared threshold's tightening time depends on
-  /// thread interleaving, so threaded/sharded results can additionally vary
-  /// run to run (the PR-3 local heaps varied only with the worker count) —
-  /// use sample_rate = 1.0 or OSF where determinism matters.
+  /// in ascending id order (`order_candidates` is ignored), like the
+  /// per-worker-heap design it models. Results are identical either way
+  /// under a sound bound; under a *sampled* estimate the shared threshold's
+  /// tightening time depends on thread interleaving, so threaded/sharded
+  /// results can additionally vary run to run — use sample_rate = 1.0 or
+  /// OSF where determinism matters.
   bool share_threshold = true;
   /// Evaluate candidates most-promising-first (descending GBP close count;
   /// with GBP off, ascending KPF/OSF lower bound) instead of ascending id,
@@ -102,22 +102,23 @@ struct EngineHit {
 };
 
 /// \brief Timing/pruning breakdown of one query (feeds Figures 9-11).
+///
+/// Every field has one definition whatever `threads` is. Times marked CPU
+/// are summed across the query's workers; with one worker they equal
+/// wall-clock.
 struct QueryStats {
-  /// Candidate generation + bound filtering (GBP + KPF/OSF) in serial mode;
-  /// GBP only when threads > 1 (bound checks then run inside the workers —
-  /// see bound_seconds).
+  /// Pruning time: gbp_seconds + bound_seconds, exactly (CPU).
   double prune_seconds = 0;
-  /// Wall-clock of the whole search stage (equals pair_search_seconds in
-  /// serial mode).
+  /// Wall-clock of the worker stage — bound checks, per-pair searches and
+  /// top-K offers, from the first worker's start to the last one's end.
   double search_seconds = 0;
-  /// Time in KPF/OSF bound checks alone; summed across workers when
-  /// threads > 1 (CPU seconds, not wall-clock).
+  /// Time in KPF/OSF bound checks alone, including the bound-ordering
+  /// pre-pass when GBP is off (CPU).
   double bound_seconds = 0;
-  /// Time in per-pair QueryRun::Run calls alone; summed across workers when
-  /// threads > 1 (CPU seconds, not wall-clock).
+  /// Time in per-pair QueryRun::RunCols / RunBatch calls alone (CPU).
   double pair_search_seconds = 0;
-  /// Candidate-generation time alone (GBP, or the identity scan with GBP
-  /// off); already included in prune_seconds.
+  /// Candidate-generation time alone: GBP, or the identity scan with GBP
+  /// off.
   double gbp_seconds = 0;
   int candidates_after_gbp = 0;
   int pruned_by_bound = 0;
@@ -127,9 +128,10 @@ struct QueryStats {
   /// + searched, always.
   int skipped = 0;
   /// Searched candidates whose result landed at or above the early-abandon
-  /// cutoff captured before the run: DP work the plan abandoned early, or a
-  /// completed result the top-K merge then discarded. searched == abandoned
-  /// + (hits that were competitive when computed).
+  /// cutoff captured before the run — DP work the plan abandoned early, or
+  /// a completed result the top-K merge then discarded — or found no
+  /// subtrajectory at all. searched == abandoned + (hits that were
+  /// competitive when computed).
   int abandoned = 0;
   /// DP cells evaluated through the SIMD column/batch kernels (full lane
   /// groups; batch kernels count per live lane) vs. scalar iterations (tail
@@ -143,10 +145,10 @@ struct QueryStats {
   uint64_t simd_lane_abandons = 0;
 };
 
-/// \brief Resolved `engine.<Algorithm>.funnel.*` counters, shared by
-/// SearchEngine and DeltaEngine (both fold into the same per-algorithm
-/// funnel). All-null when constructed without a registry, making Fold a
-/// no-op.
+/// \brief Resolved `engine.<Algorithm>.funnel.*` counters of one
+/// CandidatePipeline (SearchEngine and DeltaEngine fold into the same
+/// per-algorithm funnel). All-null when constructed without a registry,
+/// making Fold a no-op.
 struct FunnelCounters {
   FunnelCounters() = default;
   FunnelCounters(obs::Registry* registry, Algorithm algorithm);
@@ -168,32 +170,62 @@ struct FunnelCounters {
   obs::Counter* simd_lane_abandons = nullptr;
 };
 
+/// \brief The database-level search pipeline (Algorithm 3), shared by
+/// SearchEngine (base corpus) and DeltaEngine (a live corpus's delta).
+///
+/// Run() takes one candidate source — a DatasetView with its GridIndex, or
+/// a DeltaView with its DeltaGridIndex (null grid: every trajectory is a
+/// candidate) — and runs the same stages over either:
+///
+///  1. candidate generation: the grid's GBP candidates, most-promising-first
+///     (descending close count) when ordering is on, else the identity scan;
+///  2. the KPF/OSF bound, checked against the top-K before each search;
+///     without a grid and with ordering on, the bounds are computed once up
+///     front and the candidates run in ascending-bound order;
+///  3. per-trajectory search through one pooled, bind-once QueryRun per
+///     worker, with the live top-K threshold as the early-abandon cutoff;
+///     plans with a cross-candidate kernel evaluate pruning survivors in
+///     length-sorted RunBatch groups.
+///
+/// Up to `threads` workers (the caller plus scheduler-pool tasks) pull
+/// candidate chunks from one atomic counter; one worker is the paper's
+/// serial pipeline. Hits are offered into the caller's SharedTopK with
+/// `id_offset` added, or, with share_threshold off, into a private
+/// SharedTopK per worker that is merged into the caller's at the end. Plans
+/// and bound plans are pooled, so steady-state queries allocate nothing per
+/// candidate. Safe to call concurrently.
+class CandidatePipeline {
+ public:
+  explicit CandidatePipeline(const EngineOptions& options);
+
+  /// Searches every candidate `source` offers for `query`. Ids in
+  /// `source`, `grid` and `excluded_id` are source-local. A query without
+  /// candidates binds neither a search plan nor a bound plan. Instantiated
+  /// for (DatasetView, GridIndex) and (DeltaView, DeltaGridIndex).
+  template <typename Source, typename Grid>
+  void Run(TrajectoryView query, const Source& source, const Grid* grid,
+           SharedTopK* topk, int id_offset, QueryStats* stats,
+           int excluded_id) const;
+
+  const EngineOptions& options() const { return options_; }
+
+ private:
+  EngineOptions options_;
+  std::unique_ptr<Searcher> searcher_;
+  /// Funnel counter pointers, resolved once at construction (all-null
+  /// without a registry).
+  FunnelCounters funnel_;
+  /// Plans/bounds are grow-only pooled; steady state reuses the same plans
+  /// and their scratch across queries.
+  mutable PlanPool plans_;
+};
+
 /// \brief Database-level similar subtrajectory search engine.
 ///
-/// Owns the pruning index and a per-trajectory searcher; Query() returns the
-/// top-K most similar subtrajectories across all data trajectories,
-/// maintaining a bounded heap exactly as described in Appendix E.
-///
-/// Execution model (since PR 3): Query() binds the searcher once per query —
-/// Searcher::NewRun() yields a QueryRun that owns all query-derived state
-/// (DP columns, deletion-prefix tables, reversed-query copies, scratch
-/// rows) — and evaluates every pruning survivor through QueryRun::Run with
-/// the live top-K threshold as an early-abandon cutoff. Plans and KPF bound
-/// plans are pooled per engine: a worker thread checks one out, rebinds it
-/// to the query, and returns it, so steady-state queries (e.g. batched
-/// service traffic) run the whole search stage without heap allocations per
-/// candidate.
-///
-/// Shared-threshold pipeline (since PR 4): pruning survivors are ordered
-/// most-promising-first (descending GBP close count, or ascending KPF/OSF
-/// lower bound when GBP is off) and every worker prunes against one global
-/// SharedTopK, whose lock-free cutoff is the true K-th-best distance across
-/// *all* workers — and, through QueryInto, across all shards of a service
-/// query — instead of a per-worker local heap. The multi-threaded stage
-/// runs as chunked tasks on a shared ThreadPool scheduler (no per-query
-/// std::thread spawning): up to `threads` worker tasks pull fixed-size
-/// candidate chunks from an atomic counter, each binding one pooled plan
-/// per query.
+/// Owns the GBP index of a DatasetView and runs the CandidatePipeline over
+/// it; Query() returns the top-K most similar subtrajectories across all
+/// data trajectories, maintaining a bounded heap exactly as described in
+/// Appendix E.
 ///
 /// The engine searches a DatasetView — the whole dataset in the common case,
 /// or one shard's contiguous range of the shared corpus pool under the
@@ -224,7 +256,7 @@ class SearchEngine {
                  QueryStats* stats = nullptr, int excluded_id = -1) const;
 
   /// Exactly what the caller passed (derived values are never written back).
-  const EngineOptions& options() const { return options_; }
+  const EngineOptions& options() const { return pipeline_.options(); }
   const DatasetView& data() const { return data_; }
   /// The pruning index served from (null when GBP is disabled): the
   /// caller's prebuilt_grid when it was adopted, else the engine-built one.
@@ -234,24 +266,18 @@ class SearchEngine {
 
  private:
   DatasetView data_;
-  EngineOptions options_;
+  CandidatePipeline pipeline_;
   std::unique_ptr<GridIndex> grid_;
-  /// What the query path probes: options_.prebuilt_grid when adopted, else
+  /// What the query path probes: options().prebuilt_grid when adopted, else
   /// grid_.get(); null with GBP off.
   const GridIndex* grid_view_ = nullptr;
-  std::unique_ptr<Searcher> searcher_;
-  /// Funnel counter pointers, resolved once at construction (all-null
-  /// without a registry).
-  FunnelCounters funnel_;
-  /// Plans/bounds are grow-only pooled; steady state reuses the same plans
-  /// and their scratch across queries.
-  mutable PlanPool plans_;
 };
 
 /// Builds the per-trajectory searcher an engine's options describe: trained
 /// RLS policies route through MakeRlsSearcher, everything else through
 /// MakeSearcher (invalid algorithm/distance combinations are a programming
-/// error here and CHECK). Shared by SearchEngine and DeltaEngine.
+/// error here and CHECK). Used by CandidatePipeline, and by anything that
+/// replays its stages.
 std::unique_ptr<Searcher> MakeEngineSearcher(const EngineOptions& options);
 
 }  // namespace trajsearch

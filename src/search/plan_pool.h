@@ -12,13 +12,14 @@ namespace trajsearch {
 
 /// \brief Grow-only check-out/check-in pools for per-worker query state.
 ///
-/// One engine-side pool holds the reusable QueryRun plans and KPF/OSF bound
-/// plans its workers bind per query: a worker checks a plan out, rebinds it,
-/// and returns it, so steady-state traffic reuses warm scratch instead of
-/// reallocating (the property tests/plan_alloc_test.cc audits). Shared by
-/// SearchEngine (base shards) and DeltaEngine (live-corpus delta stage) so
-/// the pooling discipline has exactly one implementation. Acquire/Release
-/// are safe to call concurrently; the pools only ever grow.
+/// Each CandidatePipeline holds one pool of the reusable QueryRun plans and
+/// KPF/OSF bound plans its workers bind per query: a worker checks a plan
+/// out, rebinds it, and returns it, so steady-state traffic reuses warm
+/// scratch instead of reallocating (the property tests/plan_alloc_test.cc
+/// audits). The pipeline is the one search loop behind both candidate
+/// sources — SearchEngine (base shards) and DeltaEngine (live-corpus delta)
+/// — so the pooling discipline has exactly one user. Acquire/Release are
+/// safe to call concurrently; the pools only ever grow.
 class PlanPool {
  public:
   /// Checks out a pooled plan, or has `searcher` create the pool's next one.

@@ -30,8 +30,8 @@ inline bool BetterHit(const EngineHit& a, const EngineHit& b) {
 
 /// \brief Bounded worst-first heap of engine hits (Appendix E).
 ///
-/// Shared by the engine's serial and multi-threaded search stages and by the
-/// service layer, which merges per-shard top-K heaps into a global top-K.
+/// The heap inside SharedTopK, and the one MergeTopK merges per-part hit
+/// lists into.
 class TopKHeap {
  public:
   explicit TopKHeap(int k) : k_(k) { TRAJ_CHECK(k >= 1); }
@@ -140,12 +140,15 @@ class SharedTopK {
     return lower > w.distance || (lower == w.distance && id > w.id);
   }
 
+  /// Admits `hit` if it is among the K best offered so far. A not-found
+  /// sentinel (no subtrajectory found, e.g. every distance overflowed, or a
+  /// run abandoned below the cutoff) is never a result and is dropped.
   void Offer(const EngineHit& hit) TRAJ_EXCLUDES(mu_) {
+    if (!hit.result.found()) return;
     // Lock-free rejection: once the heap is full, a hit that is canonically
     // no better than the published K-th best can never enter. The published
     // pair is stale-or-current and only ever improves, so rejecting against
-    // it is always sound. Before the heap fills, everything — including
-    // not-found sentinels — takes the lock, exactly like TopKHeap.
+    // it is always sound.
     if (ShouldPrune(hit.result.distance, hit.trajectory_id)) return;
     MutexLock lock(mu_);
     heap_.Offer(hit);
@@ -222,9 +225,7 @@ class SharedTopK {
   /// (see PublishWorstLocked), readers retry via ReadBegin/ReadRetry.
   SeqLock seq_;
   /// Seqlock-published (K-th best distance, K-th best id); distance stays
-  /// kNoCutoff until the heap fills (a heap full of not-found sentinels
-  /// also reads as "no threshold", which disables pruning — exactly the
-  /// legacy behaviour for infinite worsts). Atomics, not TRAJ_GUARDED_BY:
+  /// kNoCutoff until the heap fills. Atomics, not TRAJ_GUARDED_BY:
   /// readers load them without any capability and rely on the seqlock
   /// retry; only the *stores* are capability-checked (StoreWorst).
   std::atomic<uint64_t> worst_bits_{DoubleBits(kNoCutoff)};

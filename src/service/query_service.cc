@@ -512,8 +512,8 @@ std::vector<std::vector<EngineHit>> QueryService::SubmitBatch(
   // ids: base ids through the shard offsets, delta ids at base_size +
   // delta id), so every part's bound filter and early abandoning prune
   // against the corpus-wide K-th best as it tightens. With share_threshold
-  // off the PR-3 baseline is reproduced instead: one independent top-K per
-  // (query, part), merged canonically afterwards.
+  // off each (query, part) gets an independent top-K instead (and each
+  // engine worker a private one inside it), merged canonically afterwards.
   const bool share = options_.engine.share_threshold;
   std::vector<std::unique_ptr<SharedTopK>> topks(
       share ? misses.size() : misses.size() * static_cast<size_t>(parts));

@@ -73,9 +73,11 @@ struct ServiceStats {
   uint64_t compactions = 0;
   double compaction_seconds = 0;
   /// Engine-time split summed over every (query, shard) and (query, delta)
-  /// task that actually searched (cache hits skip the engines): candidate
-  /// generation + bound filtering, bound checks alone, and per-pair
-  /// QueryRun::Run time. CPU seconds across all workers, not wall-clock.
+  /// task that actually searched (cache hits skip the engines), with the
+  /// QueryStats definitions at every thread count: prune_seconds is
+  /// candidate generation plus bound checks, bound_seconds the bound part
+  /// of it, and pair_search_seconds the per-pair QueryRun time. CPU seconds
+  /// across all workers, not wall-clock.
   double prune_seconds = 0;
   double bound_seconds = 0;
   double pair_search_seconds = 0;
@@ -122,12 +124,15 @@ uint64_t EngineOptionsFingerprint(const EngineOptions& options);
 /// in its pooled Dataset form — shards are contiguous DatasetViews over that
 /// one shared pool, each with its own SearchEngine — plus an append-only
 /// delta indexed by an incremental DeltaGridIndex (materialized lazily per
-/// generation) and searched by a DeltaEngine. Every mutation publishes an
-/// immutable ServingState (generation view + shard engines) through an
-/// RCU-style publication slot (readers never touch the ingest or compaction
-/// locks); a query batch pins the state once, so all its (query,
-/// shard) and (query, delta) tasks see a single consistent generation no
-/// matter how many appends or compaction swaps land mid-flight. All parts of
+/// generation) and searched by a DeltaEngine. Both engines run the one
+/// CandidatePipeline (search/engine.h) over their own candidate source, so
+/// the base and the delta follow the same pruning, ordering, batching and
+/// `threads` rules. Every mutation publishes an immutable ServingState
+/// (generation view + shard engines) through an RCU-style publication slot
+/// (readers never touch the ingest or compaction locks); a query batch pins
+/// the state once, so all its (query, shard) and (query, delta) tasks see a
+/// single consistent generation no matter how many appends or compaction
+/// swaps land mid-flight. All parts of
 /// one query offer into a single SharedTopK with corpus trajectory ids
 /// (base ids then delta ids, stable across compaction), so the
 /// early-abandon threshold every part prunes against is the corpus-wide

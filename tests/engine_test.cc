@@ -241,23 +241,30 @@ TEST(EngineTest, StatsTimingBreakdownIsPopulated) {
   const Dataset dataset = WalkDataset(15, 30, 61);
   Rng rng(20);
   const Trajectory query = RandomWalk(&rng, 8);
-  EngineOptions options;
-  options.spec = DistanceSpec::Dtw();
-  const SearchEngine engine(&dataset, options);
-  QueryStats stats;
-  engine.Query(query, &stats);
-  EXPECT_GE(stats.prune_seconds, 0.0);
-  EXPECT_GE(stats.search_seconds, 0.0);
-  EXPECT_EQ(stats.searched + stats.pruned_by_bound,
-            stats.candidates_after_gbp);
-  // The finer bound/pair split nests inside the legacy totals: in serial
-  // mode prune covers GBP + bound checks and search equals the pair time.
-  EXPECT_GE(stats.bound_seconds, 0.0);
-  EXPECT_GE(stats.pair_search_seconds, 0.0);
-  EXPECT_GE(stats.prune_seconds, stats.bound_seconds);
-  EXPECT_EQ(stats.search_seconds, stats.pair_search_seconds);
-  if (stats.searched > 0) {
-    EXPECT_GT(stats.pair_search_seconds, 0.0);
+  // Every stage time has one definition whatever the worker count: prune
+  // is exactly candidate generation plus bound checks, and the per-pair
+  // time nests inside the search stage's wall-clock with one worker.
+  for (const int threads : {1, 3}) {
+    EngineOptions options;
+    options.spec = DistanceSpec::Dtw();
+    options.use_gbp = false;  // every trajectory is a candidate
+    options.threads = threads;
+    const SearchEngine engine(&dataset, options);
+    QueryStats stats;
+    engine.Query(query, &stats);
+    EXPECT_EQ(stats.searched + stats.pruned_by_bound,
+              stats.candidates_after_gbp)
+        << threads;
+    ASSERT_GT(stats.searched, 0) << threads;
+    EXPECT_GE(stats.gbp_seconds, 0.0) << threads;
+    EXPECT_GE(stats.bound_seconds, 0.0) << threads;
+    EXPECT_EQ(stats.prune_seconds, stats.gbp_seconds + stats.bound_seconds)
+        << threads;
+    EXPECT_GT(stats.pair_search_seconds, 0.0) << threads;
+    EXPECT_GT(stats.search_seconds, 0.0) << threads;
+    if (threads == 1) {
+      EXPECT_GE(stats.search_seconds, stats.pair_search_seconds);
+    }
   }
 }
 

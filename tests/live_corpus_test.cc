@@ -212,7 +212,8 @@ TEST(DeltaGridIndexTest, CopyIsIndependentOfLaterAdds) {
 /// After appends (pre-compaction) and after a forced compaction, a live
 /// service must return results hit-for-hit identical to a service built
 /// fresh over the same trajectories — for every algorithm x distance combo,
-/// with engine threads > 1 and shards > 1, under a sound bound. Both
+/// with GBP on and off, engine threads > 1 and shards > 1, under a sound
+/// bound. Both
 /// services run with the same explicit cell size (a fresh build over the
 /// grown corpus would otherwise derive a different grid from the extended
 /// bounding box, changing the GBP candidate set for live and fresh alike).
@@ -240,67 +241,72 @@ TEST(LiveCorpusEquivalenceGate, FullMatrixMatchesFreshBuild) {
       Algorithm::kGreedyBacktracking, Algorithm::kPos,
       Algorithm::kPss,  Algorithm::kRls,    Algorithm::kRlsSkip};
 
-  for (const Algorithm algorithm : algorithms) {
-    for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
-      if (!Supports(algorithm, spec.kind)) continue;
-      const std::string context = std::string(ToString(algorithm)) + "/" +
-                                  std::string(ToString(spec.kind));
-      EngineOptions engine;
-      engine.spec = spec;
-      engine.algorithm = algorithm;
-      engine.use_gbp = true;
-      engine.mu = 0.1;
-      engine.cell_size = cell;
-      engine.use_kpf = true;
-      engine.sample_rate = 1.0;  // sound bound: results must be exact
-      engine.top_k = 4;
-      engine.threads = 2;
+  // GBP off runs the delta's identity scan and its bound ordering instead
+  // of the delta grid.
+  for (const bool use_gbp : {true, false}) {
+    for (const Algorithm algorithm : algorithms) {
+      for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+        if (!Supports(algorithm, spec.kind)) continue;
+        const std::string context = std::string(ToString(algorithm)) + "/" +
+                                    std::string(ToString(spec.kind)) +
+                                    (use_gbp ? " gbp" : " no-gbp");
+        EngineOptions engine;
+        engine.spec = spec;
+        engine.algorithm = algorithm;
+        engine.use_gbp = use_gbp;
+        engine.mu = 0.1;
+        engine.cell_size = cell;
+        engine.use_kpf = true;
+        engine.sample_rate = 1.0;  // sound bound: results must be exact
+        engine.top_k = 4;
+        engine.threads = 2;
 
-      ServiceOptions options;
-      options.engine = engine;
-      options.shards = 3;
-      options.cache_capacity = 0;
-      options.compact_delta_trajectories = 0;  // compaction forced below
+        ServiceOptions options;
+        options.engine = engine;
+        options.shards = 3;
+        options.cache_capacity = 0;
+        options.compact_delta_trajectories = 0;  // compaction forced below
 
-      Dataset base("live");
-      base.Reserve(static_cast<size_t>(kBase));
-      for (int i = 0; i < kBase; ++i) base.Add(all[static_cast<size_t>(i)]);
-      QueryService live(std::move(base), options);
-      std::vector<TrajectoryView> appended;
-      for (size_t i = kBase; i < all.size(); ++i) {
-        appended.push_back(all[i].View());
-      }
-      live.AppendBatch(appended);
+        Dataset base("live");
+        base.Reserve(static_cast<size_t>(kBase));
+        for (int i = 0; i < kBase; ++i) base.Add(all[static_cast<size_t>(i)]);
+        QueryService live(std::move(base), options);
+        std::vector<TrajectoryView> appended;
+        for (size_t i = kBase; i < all.size(); ++i) {
+          appended.push_back(all[i].View());
+        }
+        live.AppendBatch(appended);
 
-      QueryService fresh(full_corpus, options);
-      ASSERT_EQ(live.corpus_size(), fresh.corpus_size());
+        QueryService fresh(full_corpus, options);
+        ASSERT_EQ(live.corpus_size(), fresh.corpus_size());
 
-      const auto expected = fresh.SubmitBatch(queries);
-      const auto before_compact = live.SubmitBatch(queries);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectSameHits(expected[qi], before_compact[qi],
-                       context + " pre-compaction query " +
-                           std::to_string(qi));
-      }
-      // Exact algorithms must find the appended source of the delta-slice
-      // query at distance 0 (the approximate scans may settle for more).
-      ASSERT_FALSE(before_compact.back().empty()) << context;
-      if (IsExact(algorithm, spec.kind)) {
-        EXPECT_EQ(before_compact.back()[0].result.distance, 0.0) << context;
-      }
+        const auto expected = fresh.SubmitBatch(queries);
+        const auto before_compact = live.SubmitBatch(queries);
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          ExpectSameHits(expected[qi], before_compact[qi],
+                         context + " pre-compaction query " +
+                             std::to_string(qi));
+        }
+        // Exact algorithms must find the appended source of the delta-slice
+        // query at distance 0 (the approximate scans may settle for more).
+        ASSERT_FALSE(before_compact.back().empty()) << context;
+        if (IsExact(algorithm, spec.kind)) {
+          EXPECT_EQ(before_compact.back()[0].result.distance, 0.0) << context;
+        }
 
-      ASSERT_TRUE(live.Compact()) << context;
-      const CorpusShape shape = live.Shape();
-      EXPECT_EQ(shape.delta_trajectories, 0) << context;
-      EXPECT_EQ(shape.base_trajectories, static_cast<int>(all.size()))
-          << context;
-      EXPECT_EQ(shape.base_generation, 1u) << context;
+        ASSERT_TRUE(live.Compact()) << context;
+        const CorpusShape shape = live.Shape();
+        EXPECT_EQ(shape.delta_trajectories, 0) << context;
+        EXPECT_EQ(shape.base_trajectories, static_cast<int>(all.size()))
+            << context;
+        EXPECT_EQ(shape.base_generation, 1u) << context;
 
-      const auto after_compact = live.SubmitBatch(queries);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        ExpectSameHits(expected[qi], after_compact[qi],
-                       context + " post-compaction query " +
-                           std::to_string(qi));
+        const auto after_compact = live.SubmitBatch(queries);
+        for (size_t qi = 0; qi < queries.size(); ++qi) {
+          ExpectSameHits(expected[qi], after_compact[qi],
+                         context + " post-compaction query " +
+                             std::to_string(qi));
+        }
       }
     }
   }

@@ -193,6 +193,41 @@ TEST_P(SharedThresholdMatrixTest, ThreadedAndShardedMatchLegacy) {
                           label + " sharded");
       ExpectIdenticalHits(service.Submit(query, 5), legacy.Query(query, 5),
                           label + " sharded excl");
+
+      // The local-heap ablation (share_threshold off): a private top-K per
+      // worker and per service part, merged canonically at the end. Same
+      // hits as the shared threshold, threaded, and sharded over a corpus
+      // with a live delta.
+      EngineOptions local_heaps = options;
+      local_heaps.share_threshold = false;
+      const SearchEngine local_engine(&dataset, local_heaps);
+      ExpectIdenticalHits(local_engine.Query(query), engine.Query(query),
+                          label + " local-heap threaded");
+      ExpectIdenticalHits(local_engine.Query(query, nullptr, 5),
+                          engine.Query(query, nullptr, 5),
+                          label + " local-heap threaded excl");
+      const auto live_hits = [&](const EngineOptions& engine_options,
+                                 int excluded) {
+        ServiceOptions live_options = service_options;
+        live_options.engine = engine_options;
+        live_options.compact_delta_trajectories = 0;
+        Dataset base("plan-test-base");
+        std::vector<TrajectoryView> delta;
+        for (int id = 0; id < dataset.size(); ++id) {
+          if (id < 36) {
+            base.Add(dataset[id]);
+          } else {
+            delta.push_back(dataset[id]);
+          }
+        }
+        QueryService live(std::move(base), live_options);
+        live.AppendBatch(delta);
+        return live.Submit(query, excluded);
+      };
+      ExpectIdenticalHits(live_hits(local_heaps, -1), live_hits(options, -1),
+                          label + " local-heap sharded live");
+      ExpectIdenticalHits(live_hits(local_heaps, 40), live_hits(options, 40),
+                          label + " local-heap sharded live excl");
     }
   }
 }

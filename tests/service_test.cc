@@ -107,6 +107,55 @@ TEST(QueryServiceTest, ExcludedIdIsRoutedToItsShard) {
   }
 }
 
+TEST(QueryServiceTest, ResultsNeverContainNotFoundSentinels) {
+  // Trajectories 1 and 3 sit at x = y = 1e308: every DTW cell against them
+  // overflows, so their search finds no subtrajectory. Such a not-found
+  // sentinel must never surface as a hit, not even while the top-K still
+  // has room — neither from the engine nor from a service whose sentinel
+  // source lives in the base or in the live delta.
+  auto walk = [](double offset, bool huge) {
+    Trajectory t;
+    for (int i = 0; i < 10; ++i) {
+      t.Append(huge ? Point{1e308, 1e308}
+                       : Point{0.001 * i + offset, 0.002 * i});
+    }
+    return t;
+  };
+  const std::vector<Trajectory> all = {walk(0, false), walk(0, true),
+                                       walk(0.0002, false), walk(0, true)};
+  Dataset flat("sentinels");
+  for (const Trajectory& t : all) flat.Add(t);
+  const TrajectoryView query = flat[0].Slice(Subrange{2, 8});
+
+  EngineOptions engine_options;
+  engine_options.spec = DistanceSpec::Dtw();
+  engine_options.use_gbp = false;
+  engine_options.use_kpf = false;
+  engine_options.top_k = 3;
+  const SearchEngine engine(&flat, engine_options);
+  QueryStats stats;
+  const std::vector<EngineHit> hits = engine.Query(query, &stats, 0);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].trajectory_id, 2);
+  EXPECT_TRUE(hits[0].result.found());
+  // The funnel counts the two not-found runs as discarded work.
+  EXPECT_EQ(stats.searched, 3);
+  EXPECT_EQ(stats.abandoned, 2);
+
+  ServiceOptions options;
+  options.engine = engine_options;
+  options.shards = 2;
+  options.cache_capacity = 0;
+  options.compact_delta_trajectories = 0;
+  Dataset base("sentinels-base");
+  base.Add(all[0]);
+  base.Add(all[1]);
+  QueryService service(std::move(base), options);
+  service.AppendBatch({all[2].View(), all[3].View()});  // live delta
+  ASSERT_EQ(service.Shape().delta_trajectories, 2);
+  ExpectSameHits(hits, service.Submit(query, 0));
+}
+
 TEST(QueryServiceTest, BatchMatchesIndividualSubmission) {
   const Dataset dataset = WalkDataset(40, 16, 83);
   WorkloadOptions wopts;
