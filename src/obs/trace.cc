@@ -35,13 +35,19 @@ void TraceRing::Record(const TraceSpan& span) {
   // stamps (release) are what order the payload against readers.
   const uint64_t claim = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[claim & mask_];
-  // Claim-stamped write (TicketSeqLock): odd while in progress, even
-  // (2*claim+2) when done. A lapped writer (claim + capacity) simply wins;
-  // its even stamp is larger, so a reader can still tell which span it got.
-  slot.ticket.WriteBegin(claim);
+  // Claim-stamped write (TicketSeqLock): the slot is taken with a CAS from
+  // an even ticket below this claim's. A writer that finds another write in
+  // flight, or a newer one already published (it was lapped while
+  // stalled), drops its span instead of mixing payloads with that write.
+  if (!slot.ticket.WriteBegin(claim)) {
+    // relaxed: a statistics counter; no payload is published through it.
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
   // relaxed (payload stores): individually race-free words whose ordering
-  // against readers comes from the WriteBegin/WriteEnd release brackets and
-  // the reader's acquire ticket validation — the classic seqlock payload.
+  // against readers comes from the WriteBegin/WriteEnd brackets (release
+  // fence and store) and the reader's acquire-ordered ticket validation —
+  // the classic seqlock payload.
   slot.query_id.store(span.query_id, std::memory_order_relaxed);
   slot.kind.store(static_cast<uint32_t>(span.kind), std::memory_order_relaxed);
   slot.start_nanos.store(span.start_nanos, std::memory_order_relaxed);
@@ -60,8 +66,9 @@ std::vector<TraceSpan> TraceRing::Snapshot() const {
     const Slot& slot = slots_[claim & mask_];
     if (!slot.ticket.ReadBegin(claim)) continue;  // unwritten, lapped, in flight
     TraceSpan span;
-    // relaxed (payload loads): bracketed by the acquire ticket checks; a
-    // concurrent overwrite flips the ticket, failing ReadValidate below.
+    // relaxed (payload loads): bracketed by ReadBegin's acquire load and
+    // ReadValidate's acquire fence; a concurrent overwrite flips the
+    // ticket, failing ReadValidate below.
     span.query_id = slot.query_id.load(std::memory_order_relaxed);
     span.kind = static_cast<SpanKind>(slot.kind.load(std::memory_order_relaxed));
     span.start_nanos = slot.start_nanos.load(std::memory_order_relaxed);

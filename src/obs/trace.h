@@ -41,7 +41,9 @@ struct TraceSpan {
 ///
 /// Record() claims a slot with one atomic fetch_add and writes through
 /// per-field relaxed atomics bracketed by a per-slot TicketSeqLock stamp;
-/// when the ring is full the oldest span is overwritten. Snapshot() returns
+/// when the ring is full the oldest span is overwritten. A writer that
+/// finds its slot held by another in-flight write, or already overwritten
+/// by a newer claim, drops its span and counts it in dropped(). Snapshot() returns
 /// the retained spans oldest-first, dropping any slot it caught mid-write
 /// (the ticket stamp changed underneath it) — readers never block writers
 /// and the whole structure is data-race-free under TSan.
@@ -66,15 +68,21 @@ class TraceRing {
     // acceptable and no slot payload is accessed through it.
     return next_.load(std::memory_order_relaxed);
   }
+  /// Spans Record() dropped because their slot was taken by a concurrent
+  /// write (recorded() counts them too).
+  uint64_t dropped() const {
+    // relaxed: a monitoring read of a statistics counter.
+    return dropped_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One ring slot. `ticket` implements the claim-stamped seqlock protocol
-  /// (util/sync.h TicketSeqLock): odd 2*claim+1 while the writer fills the
-  /// slot, even 2*claim+2 when the payload is complete; a reader that sees
-  /// an odd or changed ticket drops the slot. All payload fields are
-  /// atomics so concurrent overwrite is tearing-free word by word (an
-  /// inconsistent mix of two spans is impossible to *return* because the
-  /// ticket validation fails).
+  /// (util/sync.h TicketSeqLock): odd 2*claim+1 while the one writer that
+  /// won the slot fills it, even 2*claim+2 when the payload is complete; a
+  /// reader that sees an odd or changed ticket drops the slot. All payload
+  /// fields are atomics, so a read that overlaps the write is race-free
+  /// word by word, and the failed ticket validation keeps the mix from
+  /// being returned.
   struct Slot {
     TicketSeqLock ticket;
     std::atomic<uint64_t> query_id{0};
@@ -88,6 +96,7 @@ class TraceRing {
   size_t mask_;
   std::unique_ptr<Slot[]> slots_;
   std::atomic<uint64_t> next_{0};
+  std::atomic<uint64_t> dropped_{0};
 };
 
 }  // namespace trajsearch::obs

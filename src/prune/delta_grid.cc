@@ -1,40 +1,8 @@
 #include "prune/delta_grid.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "util/check.h"
 
 namespace trajsearch {
-
-namespace {
-
-/// Per-thread counting scratch (same epoch-stamping scheme as the CSR
-/// GridIndex's: monotone tokens mean the arrays never need clearing between
-/// queries). Sized to the largest delta seen on the thread — deltas are
-/// compaction-bounded, so this stays small.
-struct DeltaScratch {
-  std::vector<uint64_t> point_stamp;
-  std::vector<uint64_t> query_stamp;
-  std::vector<int> counts;
-  std::vector<int> touched;
-  uint64_t next_token = 1;
-
-  void EnsureSize(size_t n) {
-    if (point_stamp.size() < n) {
-      point_stamp.resize(n, 0);
-      query_stamp.resize(n, 0);
-      counts.resize(n, 0);
-    }
-  }
-};
-
-DeltaScratch& LocalScratch() {
-  thread_local DeltaScratch scratch;
-  return scratch;
-}
-
-}  // namespace
 
 DeltaGridIndex::DeltaGridIndex(double cell_size) : cell_size_(cell_size) {
   TRAJ_CHECK(cell_size > 0);
@@ -43,9 +11,14 @@ DeltaGridIndex::DeltaGridIndex(double cell_size) : cell_size_(cell_size) {
 int64_t DeltaGridIndex::CellKey(double x, double y) const {
   // Identical to GridIndex::CellKey, so base and delta grids agree on cell
   // geometry for any shared cell size.
-  const auto ix = static_cast<int64_t>(std::floor(x / cell_size_));
-  const auto iy = static_cast<int64_t>(std::floor(y / cell_size_));
-  return (ix << 32) ^ (iy & 0xffffffffLL);
+  return GridCellKey(GridCellCoord(x, cell_size_), GridCellCoord(y, cell_size_));
+}
+
+std::pair<const int32_t*, const int32_t*> DeltaGridIndex::CellRange(
+    int64_t key) const {
+  const auto it = cells_.find(key);
+  if (it == cells_.end()) return {nullptr, nullptr};
+  return {it->second.data(), it->second.data() + it->second.size()};
 }
 
 void DeltaGridIndex::Add(TrajectoryView trajectory) {
@@ -68,77 +41,32 @@ void DeltaGridIndex::Add(TrajectoryView trajectory) {
 
 void DeltaGridIndex::CloseCounts(TrajectoryView query,
                                  std::vector<std::pair<int, int>>* out) const {
-  DeltaScratch& scratch = LocalScratch();
-  scratch.EnsureSize(static_cast<size_t>(size_));
-  scratch.touched.clear();
-  const uint64_t base = scratch.next_token;
-  scratch.next_token += query.size() + 1;
-
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    const uint64_t token = base + 1 + qi;
-    const Point& p = query[qi];
-    const auto ix = static_cast<int64_t>(std::floor(p.x / cell_size_));
-    const auto iy = static_cast<int64_t>(std::floor(p.y / cell_size_));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        const int64_t key = ((ix + dx) << 32) ^ ((iy + dy) & 0xffffffffLL);
-        const auto it = cells_.find(key);
-        if (it == cells_.end()) continue;
-        for (const int32_t raw_id : it->second) {
-          const size_t id = static_cast<size_t>(raw_id);
-          if (scratch.point_stamp[id] == token) continue;
-          scratch.point_stamp[id] = token;
-          if (scratch.query_stamp[id] != base) {
-            scratch.query_stamp[id] = base;
-            scratch.counts[id] = 0;
-            scratch.touched.push_back(static_cast<int>(id));
-          }
-          ++scratch.counts[id];
-        }
-      }
-    }
-  }
-  std::sort(scratch.touched.begin(), scratch.touched.end());
-  out->clear();
-  out->reserve(scratch.touched.size());
-  for (const int id : scratch.touched) {
-    out->emplace_back(id, scratch.counts[static_cast<size_t>(id)]);
-  }
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, size_);
+  counter.AllCounts(out);
 }
 
-void DeltaGridIndex::SurvivorCounts(
-    TrajectoryView query, double mu,
-    std::vector<std::pair<int, int>>* out) const {
-  thread_local std::vector<std::pair<int, int>> counts;
-  CloseCounts(query, &counts);
-  const double threshold = mu * static_cast<double>(query.size());
-  out->clear();
-  for (const auto& [id, count] : counts) {
-    if (static_cast<double>(count) >= threshold) out->emplace_back(id, count);
-  }
+void DeltaGridIndex::Select(TrajectoryView query, double mu,
+                            CandidateOrder order,
+                            std::span<const int> mask_points,
+                            std::vector<int>* ids,
+                            std::vector<uint64_t>* masks) const {
+  CloseCounter::Local().Select(*this, query, size_, mu, order, mask_points,
+                               ids, masks);
 }
 
 void DeltaGridIndex::Candidates(TrajectoryView query, double mu,
                                 std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
-  SurvivorCounts(query, mu, &survivors);
-  out->clear();
-  out->reserve(survivors.size());
-  for (const auto& [id, count] : survivors) out->push_back(id);
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, size_);
+  counter.Survivors(mu, CandidateOrder::kById, out);
 }
 
 void DeltaGridIndex::OrderedCandidates(TrajectoryView query, double mu,
                                        std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
-  thread_local std::vector<std::pair<int, int>> order;
-  SurvivorCounts(query, mu, &survivors);
-  order.clear();
-  order.reserve(survivors.size());
-  for (const auto& [id, count] : survivors) order.emplace_back(-count, id);
-  std::sort(order.begin(), order.end());
-  out->clear();
-  out->reserve(order.size());
-  for (const auto& [neg_count, id] : order) out->push_back(id);
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, size_);
+  counter.Survivors(mu, CandidateOrder::kByCloseCount, out);
 }
 
 }  // namespace trajsearch

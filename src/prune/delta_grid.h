@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/trajectory.h"
+#include "prune/close_counts.h"
 
 namespace trajsearch {
 
@@ -51,6 +53,14 @@ class DeltaGridIndex {
   void OrderedCandidates(TrajectoryView query, double mu,
                          std::vector<int>* out) const;
 
+  /// The engine's entry point, mirroring GridIndex::Select.
+  void Select(TrajectoryView query, double mu, CandidateOrder order,
+              std::span<const int> mask_points, std::vector<int>* ids,
+              std::vector<uint64_t>* masks) const;
+
+  /// Postings of the cell with `key` (ascending ids), or an empty range.
+  std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
+
   double cell_size() const { return cell_size_; }
   /// Number of indexed delta trajectories.
   int size() const { return size_; }
@@ -60,8 +70,6 @@ class DeltaGridIndex {
 
  private:
   int64_t CellKey(double x, double y) const;
-  void SurvivorCounts(TrajectoryView query, double mu,
-                      std::vector<std::pair<int, int>>* out) const;
 
   double cell_size_;
   int size_ = 0;

@@ -1,7 +1,6 @@
 #include "prune/grid_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -10,34 +9,6 @@
 namespace trajsearch {
 
 namespace {
-
-/// Per-thread counting scratch, shared by every GridIndex on the thread.
-///
-/// Tokens are monotonically increasing across queries, so arrays never need
-/// clearing between queries (a stale stamp can never equal a fresh token);
-/// they only grow to the largest dataset seen on the thread.
-struct GridScratch {
-  /// Token of the last query point that counted this id.
-  std::vector<uint64_t> point_stamp;
-  /// Base token of the query that last touched this id's counter.
-  std::vector<uint64_t> query_stamp;
-  std::vector<int> counts;
-  std::vector<int> touched;
-  uint64_t next_token = 1;
-
-  void EnsureSize(size_t n) {
-    if (point_stamp.size() < n) {
-      point_stamp.resize(n, 0);
-      query_stamp.resize(n, 0);
-      counts.resize(n, 0);
-    }
-  }
-};
-
-GridScratch& LocalScratch() {
-  thread_local GridScratch scratch;
-  return scratch;
-}
 
 /// splitmix64 finalizer: cheap, well-mixed hash for the slot table.
 inline uint64_t HashKey(int64_t key) {
@@ -249,9 +220,7 @@ Result<GridIndex> GridIndex::FromParts(double cell_size, int dataset_size,
 }
 
 int64_t GridIndex::CellKey(double x, double y) const {
-  const auto ix = static_cast<int64_t>(std::floor(x / cell_size_));
-  const auto iy = static_cast<int64_t>(std::floor(y / cell_size_));
-  return (ix << 32) ^ (iy & 0xffffffffLL);
+  return GridCellKey(GridCellCoord(x, cell_size_), GridCellCoord(y, cell_size_));
 }
 
 std::pair<const int32_t*, const int32_t*> GridIndex::CellRange(
@@ -270,44 +239,9 @@ std::pair<const int32_t*, const int32_t*> GridIndex::CellRange(
 
 void GridIndex::CloseCounts(TrajectoryView query,
                             std::vector<std::pair<int, int>>* out) const {
-  GridScratch& scratch = LocalScratch();
-  scratch.EnsureSize(static_cast<size_t>(dataset_size_));
-  scratch.touched.clear();
-  // One token per query point plus the base marking "this query".
-  const uint64_t base = scratch.next_token;
-  scratch.next_token += query.size() + 1;
-
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    const uint64_t token = base + 1 + qi;
-    const Point& p = query[qi];
-    const auto ix = static_cast<int64_t>(std::floor(p.x / cell_size_));
-    const auto iy = static_cast<int64_t>(std::floor(p.y / cell_size_));
-    for (int64_t dx = -1; dx <= 1; ++dx) {
-      for (int64_t dy = -1; dy <= 1; ++dy) {
-        const int64_t key = ((ix + dx) << 32) ^ ((iy + dy) & 0xffffffffLL);
-        const auto [it, end] = CellRange(key);
-        for (const int32_t* id_ptr = it; id_ptr != end; ++id_ptr) {
-          const size_t id = static_cast<size_t>(*id_ptr);
-          if (scratch.point_stamp[id] == token) {
-            continue;  // this query point already counted for id
-          }
-          scratch.point_stamp[id] = token;
-          if (scratch.query_stamp[id] != base) {
-            scratch.query_stamp[id] = base;
-            scratch.counts[id] = 0;
-            scratch.touched.push_back(static_cast<int>(id));
-          }
-          ++scratch.counts[id];
-        }
-      }
-    }
-  }
-  std::sort(scratch.touched.begin(), scratch.touched.end());
-  out->clear();
-  out->reserve(scratch.touched.size());
-  for (const int id : scratch.touched) {
-    out->emplace_back(id, scratch.counts[static_cast<size_t>(id)]);
-  }
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, dataset_size_);
+  counter.AllCounts(out);
 }
 
 std::vector<std::pair<int, int>> GridIndex::CloseCounts(
@@ -317,25 +251,18 @@ std::vector<std::pair<int, int>> GridIndex::CloseCounts(
   return result;
 }
 
-void GridIndex::SurvivorCounts(
-    TrajectoryView query, double mu,
-    std::vector<std::pair<int, int>>* out) const {
-  thread_local std::vector<std::pair<int, int>> counts;
-  CloseCounts(query, &counts);
-  const double threshold = mu * static_cast<double>(query.size());
-  out->clear();
-  for (const auto& [id, count] : counts) {
-    if (static_cast<double>(count) >= threshold) out->emplace_back(id, count);
-  }
+void GridIndex::Select(TrajectoryView query, double mu, CandidateOrder order,
+                       std::span<const int> mask_points, std::vector<int>* ids,
+                       std::vector<uint64_t>* masks) const {
+  CloseCounter::Local().Select(*this, query, dataset_size_, mu, order,
+                               mask_points, ids, masks);
 }
 
 void GridIndex::Candidates(TrajectoryView query, double mu,
                            std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
-  SurvivorCounts(query, mu, &survivors);
-  out->clear();
-  out->reserve(survivors.size());
-  for (const auto& [id, count] : survivors) out->push_back(id);
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, dataset_size_);
+  counter.Survivors(mu, CandidateOrder::kById, out);
 }
 
 std::vector<int> GridIndex::Candidates(TrajectoryView query,
@@ -347,20 +274,9 @@ std::vector<int> GridIndex::Candidates(TrajectoryView query,
 
 void GridIndex::OrderedCandidates(TrajectoryView query, double mu,
                                   std::vector<int>* out) const {
-  thread_local std::vector<std::pair<int, int>> survivors;
-  thread_local std::vector<std::pair<int, int>> order;
-  SurvivorCounts(query, mu, &survivors);  // same set as Candidates()
-  order.clear();
-  order.reserve(survivors.size());
-  for (const auto& [id, count] : survivors) {
-    // Negated count so the default pair ordering yields descending count,
-    // ascending id — a deterministic most-promising-first order.
-    order.emplace_back(-count, id);
-  }
-  std::sort(order.begin(), order.end());
-  out->clear();
-  out->reserve(order.size());
-  for (const auto& [neg_count, id] : order) out->push_back(id);
+  CloseCounter& counter = CloseCounter::Local();
+  counter.Count(*this, query, dataset_size_);
+  counter.Survivors(mu, CandidateOrder::kByCloseCount, out);
 }
 
 }  // namespace trajsearch

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "prune/close_counts.h"
 #include "util/status.h"
 
 namespace trajsearch {
@@ -50,10 +51,11 @@ struct GridIndexStats {
 /// node-based hash map — plus a flat open-addressed slot table for O(1)
 /// key-to-cell lookup, so a cell probe is one hash, a short linear scan over
 /// two flat arrays and a contiguous run of ids that prefetches cleanly.
-/// Per-query counting uses an epoch-stamped dense counter array held in
-/// thread-local scratch, so steady-state queries allocate nothing. Ids are
-/// local to the DatasetView the index was built over (identical to global
-/// ids for a whole-dataset view).
+/// Per-query counting is the shared mask pass (CloseCounter,
+/// prune/close_counts.h): each distinct block cell's postings are walked
+/// once, into per-thread epoch-stamped slots, so steady-state queries
+/// allocate nothing. Ids are local to the DatasetView the index was built
+/// over (identical to global ids for a whole-dataset view).
 /// Storage is owned (built by the constructor) or *borrowed* (FromParts:
 /// spans over prebuilt arrays — typically the CSR grid section of a mapped
 /// v4 snapshot — held alive by a refcounted keepalive), behind one set of
@@ -120,6 +122,16 @@ class GridIndex {
   void OrderedCandidates(TrajectoryView query, double mu,
                          std::vector<int>* out) const;
 
+  /// The engine's entry point: the GBP survivors in `order` into `ids`, and,
+  /// when `mask_points` is non-empty, each survivor's block mask over those
+  /// query points into `masks` (CloseCounter::Select).
+  void Select(TrajectoryView query, double mu, CandidateOrder order,
+              std::span<const int> mask_points, std::vector<int>* ids,
+              std::vector<uint64_t>* masks) const;
+
+  /// Postings of the cell with `key` (ascending ids), or an empty range.
+  std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
+
   double cell_size() const { return cell_size_; }
   size_t cell_count() const { return cell_count_; }
   int dataset_size() const { return dataset_size_; }
@@ -151,13 +163,6 @@ class GridIndex {
   /// Repoints the serving views at the owned vectors (owned mode only).
   void SyncViews();
   int64_t CellKey(double x, double y) const;
-  /// Postings of the cell with `key`, or an empty range.
-  std::pair<const int32_t*, const int32_t*> CellRange(int64_t key) const;
-  /// The one mu-threshold filter both Candidates() and OrderedCandidates()
-  /// select survivors with: (id, close count) pairs with
-  /// close(q, T) >= mu * |query|, ascending id.
-  void SurvivorCounts(TrajectoryView query, double mu,
-                      std::vector<std::pair<int, int>>* out) const;
 
   double cell_size_ = 0;
   int dataset_size_ = 0;

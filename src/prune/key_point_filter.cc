@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
+#include "prune/close_counts.h"
 #include "util/check.h"
+#include "util/simd.h"
 
 namespace trajsearch {
 
@@ -32,6 +35,63 @@ double MinSub(const DistanceSpec& spec, TrajectoryView query, int i,
         return best;
       });
   }
+}
+
+/// Minimum over the points of `data` of the squared distance to `q`: lane
+/// groups over the SoA columns when `cols` is given, the AoS points for the
+/// tail (or everything without columns). Every lane runs the scalar
+/// SquaredDistance's operations, and min is exact, so the result is the
+/// same in both paths.
+double MinSquaredDistance(const Point& q, TrajectoryView data,
+                          PointCols cols) {
+  const size_t n = data.size();
+  double best = std::numeric_limits<double>::infinity();
+  size_t j = 0;
+  if (!cols.empty() && n >= static_cast<size_t>(simd::kLanes)) {
+    const simd::VecD qx = simd::VecD::Broadcast(q.x);
+    const simd::VecD qy = simd::VecD::Broadcast(q.y);
+    simd::VecD lanes = simd::VecD::Broadcast(best);
+    for (; j + simd::kLanes <= n; j += simd::kLanes) {
+      const simd::VecD dx = qx - simd::VecD::Load(cols.x + j);
+      const simd::VecD dy = qy - simd::VecD::Load(cols.y + j);
+      lanes = simd::VecD::Min(lanes, dx * dx + dy * dy);
+    }
+    best = lanes.ReduceMin();
+  }
+  for (; j < n; ++j) best = std::min(best, SquaredDistance(q, data[j]));
+  return best;
+}
+
+/// Relative margin of the grid pre-bound's edge terms. The cell test
+/// floor(x / cell) and the edge arithmetic each round within a few ulps of
+/// the coordinates' magnitude, and the candidate-side sqrt(dx^2 + dy^2)
+/// within 3 ulps of the true distance; 2^-40 covers both with room to
+/// spare.
+constexpr double kEdgeMargin = 0x1p-40;
+/// Below this an edge term is 0: squares of smaller differences may
+/// underflow, which the relative margin does not cover.
+constexpr double kEdgeFloor = 0x1p-500;
+
+/// A lower bound on the computed Euclidean distance from `q` to any point
+/// the grid places outside q's 3x3 block of cells: q's distance to the
+/// block's edge, shrunk by the margin. It is 0 below kEdgeFloor, and when
+/// q's cell index is past what a double represents exactly.
+double CertifiedEdgeDistance(const Point& q, double cell) {
+  if (!(std::fabs(q.x / cell) < 0x1p52 && std::fabs(q.y / cell) < 0x1p52)) {
+    return 0;
+  }
+  const int64_t ix = GridCellCoord(q.x, cell);
+  const int64_t iy = GridCellCoord(q.y, cell);
+  const double x_lo = static_cast<double>(ix - 1) * cell;
+  const double x_hi = static_cast<double>(ix + 2) * cell;
+  const double y_lo = static_cast<double>(iy - 1) * cell;
+  const double y_hi = static_cast<double>(iy + 2) * cell;
+  const double edge = std::min({q.x - x_lo, x_hi - q.x, q.y - y_lo, y_hi - q.y});
+  const double scale =
+      std::max({std::fabs(x_lo), std::fabs(x_hi), std::fabs(y_lo),
+                std::fabs(y_hi), std::fabs(q.x), std::fabs(q.y)});
+  const double shrunk = (edge - scale * kEdgeMargin) * (1 - kEdgeMargin);
+  return shrunk > kEdgeFloor ? shrunk : 0;
 }
 
 }  // namespace
@@ -78,13 +138,15 @@ double OsfLowerBound(const DistanceSpec& spec, TrajectoryView query,
 }
 
 void KpfBoundPlan::Bind(const DistanceSpec& spec, TrajectoryView query,
-                        double sample_rate) {
+                        double sample_rate, double cell_size) {
   TRAJ_CHECK(sample_rate > 0 && sample_rate <= 1.0);
   TRAJ_CHECK(!query.empty());
   spec_ = spec;
   query_ = query;
   use_max_ = spec.kind == DistanceKind::kFrechet;
   wed_family_ = spec.IsWedFamily();
+  vector_ = simd::Enabled();
+  edr_eps2_ = spec.edr_epsilon * spec.edr_epsilon;
 
   const int m = static_cast<int>(query.size());
   const int key_count = std::max(
@@ -109,14 +171,45 @@ void KpfBoundPlan::Bind(const DistanceSpec& spec, TrajectoryView query,
       for (const int i : key_points_) key_del_.push_back(costs.Del(i));
     });
   }
+
+  // Grid pre-bound terms: each key point's certified block-edge distance
+  // mapped through the distance's substitution cost, then capped by its
+  // deletion cost exactly as LowerBound caps the min-substitution term.
+  grid_terms_.clear();
+  if (cell_size <= 0 || spec.kind == DistanceKind::kWed ||
+      query.size() > CloseCounter::kMaskBits) {
+    return;
+  }
+  for (size_t k = 0; k < key_points_.size(); ++k) {
+    const double edge = CertifiedEdgeDistance(
+        query_[static_cast<size_t>(key_points_[k])], cell_size);
+    double term = edge;
+    if (spec.kind == DistanceKind::kEdr) {
+      // Every point farther than epsilon (with the margin) costs 1.
+      term = std::isfinite(edr_eps2_) && edge > std::fabs(spec.edr_epsilon)
+                 ? 1.0
+                 : 0.0;
+    }
+    if (wed_family_) term = std::min(key_del_[k], term);
+    grid_terms_.push_back(term);
+  }
 }
 
-double KpfBoundPlan::LowerBound(TrajectoryView data) const {
+double KpfBoundPlan::LowerBound(TrajectoryView data, PointCols cols) const {
   TRAJ_CHECK(!key_points_.empty());
+  if (!vector_) cols = PointCols{};
   double total = 0;
   for (size_t k = 0; k < key_points_.size(); ++k) {
     const int i = key_points_[k];
-    double c = MinSub(spec_, query_, i, data);
+    double c;
+    if (spec_.kind == DistanceKind::kWed) {
+      c = MinSub(spec_, query_, i, data);
+    } else {
+      const double min_sq =
+          MinSquaredDistance(query_[static_cast<size_t>(i)], data, cols);
+      c = spec_.kind == DistanceKind::kEdr ? (min_sq <= edr_eps2_ ? 0.0 : 1.0)
+                                           : std::sqrt(min_sq);
+    }
     if (wed_family_) c = std::min(key_del_[k], c);
     if (use_max_) {
       total = std::max(total, c);
@@ -125,6 +218,21 @@ double KpfBoundPlan::LowerBound(TrajectoryView data) const {
     }
   }
   if (use_max_) return total;  // a max never needs rescaling
+  return total / effective_rate_;
+}
+
+double KpfBoundPlan::GridBound(uint64_t mask) const {
+  TRAJ_DCHECK(!grid_terms_.empty());
+  double total = 0;
+  for (size_t k = 0; k < grid_terms_.size(); ++k) {
+    const double c = ((mask >> k) & 1u) != 0 ? 0.0 : grid_terms_[k];
+    if (use_max_) {
+      total = std::max(total, c);
+    } else {
+      total += c;
+    }
+  }
+  if (use_max_) return total;
   return total / effective_rate_;
 }
 

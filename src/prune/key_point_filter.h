@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/dataset.h"
@@ -46,15 +47,52 @@ double OsfLowerBound(const DistanceSpec& spec, TrajectoryView query,
 /// makes identical pruning decisions. A bound plan is immutable after Bind
 /// and LowerBound is const, so one bound plan may be shared by all worker
 /// threads of a query. With sample_rate == 1.0 this is the OSF comparator.
+///
+/// Bound to a GBP grid's cell side, the plan also offers a *grid pre-bound*
+/// (GridBound): when a candidate has no point in key point q_k's 3x3 block
+/// of cells, every point of the candidate lies outside that block, so q_k's
+/// min-substitution term is at least q_k's distance to the block's edge.
+/// Summing (or, for Fréchet, maxing) those edge terms over the key points
+/// whose block the candidate misses gives a bound that never exceeds
+/// LowerBound(), computed from the GBP mask alone, before anything reads
+/// the candidate's points.
 class KpfBoundPlan {
  public:
   /// (Re-)computes the key-point sample for `query` (non-empty; the view
   /// must stay valid while LowerBound is used). Scratch capacity is reused.
+  /// A positive `cell_size` (the GBP grid's cell side) also prepares the
+  /// grid pre-bound where it applies: DTW, Fréchet, ERP and EDR (whose
+  /// substitution costs are monotone in Euclidean distance), for queries of
+  /// at most 64 points (the grid reads every mask off one counting block).
+  /// Generic WED and longer queries keep the plain bound.
   void Bind(const DistanceSpec& spec, TrajectoryView query,
-            double sample_rate);
+            double sample_rate, double cell_size = 0);
 
   /// The KPF estimate (Theorem B.1 / Equation 28) against one candidate.
-  double LowerBound(TrajectoryView data) const;
+  /// Each key point's term takes the minimum of the *squared* distances
+  /// (over `cols`, the candidate's SoA columns, in vector lanes when SIMD is
+  /// on; over the AoS points when `cols` is empty) and then one sqrt (DTW,
+  /// Fréchet, ERP) or one epsilon test (EDR). sqrt is correctly rounded and
+  /// monotone and the build never contracts into FMAs, so this equals the
+  /// min of the per-point distances bit for bit on finite data.
+  double LowerBound(TrajectoryView data, PointCols cols = {}) const;
+
+  /// Query indices of the key points whose block masks GridBound reads, in
+  /// key-point order (bit k of a mask is key point k); empty when the grid
+  /// pre-bound does not apply to this Bind.
+  std::span<const int> mask_points() const {
+    if (grid_terms_.empty()) return {};
+    return key_points_;
+  }
+
+  /// The grid pre-bound of a candidate whose GBP mask over mask_points() is
+  /// `mask`: key points whose block holds a point of the candidate add 0,
+  /// the others add their certified edge term, accumulated exactly like
+  /// LowerBound. Every term is at most the matching LowerBound term, so
+  /// the result is at most LowerBound(candidate), and a monotone prune
+  /// (SharedTopK::ShouldPrune) on it prunes only what LowerBound would.
+  /// Requires a non-empty mask_points().
+  double GridBound(uint64_t mask) const;
 
   /// Bound-for-ordering hook for the engine's shared-threshold search when
   /// no grid index is available: computes LowerBound for every candidate in
@@ -71,8 +109,10 @@ class KpfBoundPlan {
                     std::vector<double>* bounds) const {
     bounds->resize(ids->size());
     for (size_t c = 0; c < ids->size(); ++c) {
-      const TrajectoryView candidate = data[(*ids)[c]];
-      (*bounds)[c] = candidate.empty() ? 0.0 : LowerBound(candidate);
+      const int id = (*ids)[c];
+      const TrajectoryView candidate = data[id];
+      (*bounds)[c] =
+          candidate.empty() ? 0.0 : LowerBound(candidate, data.cols(id));
     }
     SortByBound(ids, bounds);
   }
@@ -85,9 +125,13 @@ class KpfBoundPlan {
   TrajectoryView query_;
   bool use_max_ = false;        // Fréchet aggregates by max, not sum
   bool wed_family_ = false;     // true when deletion costs participate
+  bool vector_ = false;         // SIMD dispatch sampled at Bind
+  double edr_eps2_ = 0;         // EDR: epsilon * epsilon
   double effective_rate_ = 1.0;
   std::vector<int> key_points_;     // sampled query indices, ascending
   std::vector<double> key_del_;     // del(q_i) per key point (WED family)
+  /// Grid pre-bound term per key point (empty: no pre-bound this Bind).
+  std::vector<double> grid_terms_;
 };
 
 }  // namespace trajsearch

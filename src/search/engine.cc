@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <optional>
 #include <span>
 #include <string>
@@ -39,6 +40,32 @@ size_t ChunkSize(size_t candidates, int workers) {
 constexpr int kBatchGroups = 4;
 constexpr int kBatchWindow = kBatchGroups * simd::kLanes;
 
+/// The worker prefetches the point columns of the candidate this many
+/// positions ahead of the one it evaluates, so the KPF bound and the DP
+/// find them in cache.
+constexpr size_t kPrefetchAhead = 8;
+/// At most this many cache lines of each column are prefetched.
+constexpr size_t kPrefetchLines = 16;
+
+void PrefetchColumns(PointCols cols, size_t points) {
+  if (cols.empty()) return;
+  constexpr size_t kLineDoubles = 64 / sizeof(double);
+  const size_t lines =
+      std::min(kPrefetchLines, (points + kLineDoubles - 1) / kLineDoubles);
+  for (size_t line = 0; line < lines; ++line) {
+    __builtin_prefetch(cols.x + line * kLineDoubles);
+    __builtin_prefetch(cols.y + line * kLineDoubles);
+  }
+}
+
+/// True when every coordinate of `query` is finite. A NaN or infinite point
+/// has no grid cell and no distance, so such a query has no candidates.
+bool AllFinite(TrajectoryView query) {
+  return std::all_of(query.begin(), query.end(), [](const Point& p) {
+    return std::isfinite(p.x) && std::isfinite(p.y);
+  });
+}
+
 /// Funnel accounting: a searched candidate's DP work is discarded when its
 /// result lands at or above the cutoff the run started with (possibly
 /// early-abandoned), or when it found no subtrajectory (SharedTopK drops
@@ -63,6 +90,10 @@ struct WorkerState {
   std::array<QueryRun::RunBatchItem, kBatchWindow> batch_items;
   std::array<int, kBatchWindow> batch_ids;
   int batch_pending = 0;
+  // The look-ahead's grid pre-bound verdicts, by candidate position modulo
+  // kPrefetchAhead: 2 * (position + 1), plus 1 when the pre-bound settled
+  // that candidate. Any other value means no verdict for the position.
+  std::array<size_t, kPrefetchAhead> ahead{};
 };
 
 }  // namespace
@@ -127,28 +158,47 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
                             int excluded_id) const {
   QueryStats local;
   IntervalTimer gbp_timer;
+  const bool finite = AllFinite(query);
+
+  // Stage 2 setup, ahead of candidate generation because the grid reads the
+  // key points off it: one query-bound KPF/OSF plan, shared read-only by
+  // every worker (key points, deletion costs and the grid pre-bound's edge
+  // terms are per-query state).
+  std::unique_ptr<KpfBoundPlan> bound;
+  if ((options_.use_kpf || options_.use_osf) && !query.empty() && finite) {
+    bound = plans_.AcquireBound();
+    bound->Bind(options_.spec, query,
+                options_.use_osf ? 1.0 : options_.sample_rate,
+                grid != nullptr ? grid->cell_size() : 0.0);
+  }
 
   // Stage 1: candidate generation, most-promising-first when ordering is
   // on (descending close count — close counts are already computed for the
-  // mu filter, so the order is nearly free). The candidate buffer is
-  // per-thread scratch so steady-state queries reuse its capacity instead of
-  // reallocating (the workers below only read it).
+  // mu filter, so the order is nearly free), with each candidate's block
+  // mask over the bound plan's key points when the grid pre-bound applies.
+  // The buffers are per-thread scratch so steady-state queries reuse their
+  // capacity instead of reallocating (the workers below only read them).
   gbp_timer.Start();
   thread_local std::vector<int> candidate_scratch;
+  thread_local std::vector<uint64_t> mask_scratch;
   thread_local std::vector<double> bound_cache_scratch;
   thread_local std::vector<WorkerState> state_scratch;
   bound_cache_scratch.clear();
+  mask_scratch.clear();
   // The local-heap ablation (share_threshold off) models per-worker heaps
   // over id-ascending streams, so ordering applies to the shared-threshold
   // pipeline only.
   const bool ordering =
       options_.order_candidates && options_.share_threshold;
-  if (grid != nullptr) {
-    if (ordering) {
-      grid->OrderedCandidates(query, options_.mu, &candidate_scratch);
-    } else {
-      grid->Candidates(query, options_.mu, &candidate_scratch);
-    }
+  if (!finite) {
+    candidate_scratch.clear();
+  } else if (grid != nullptr) {
+    grid->Select(query, options_.mu,
+                 ordering ? CandidateOrder::kByCloseCount
+                          : CandidateOrder::kById,
+                 bound != nullptr ? bound->mask_points()
+                                  : std::span<const int>{},
+                 &candidate_scratch, &mask_scratch);
   } else {
     candidate_scratch.resize(static_cast<size_t>(source.size()));
     for (int id = 0; id < source.size(); ++id) {
@@ -160,15 +210,6 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
   local.gbp_seconds = gbp_timer.TotalSeconds();
 
   if (!candidate_scratch.empty()) {
-    // Stage 2 setup: one query-bound KPF/OSF plan, shared read-only by
-    // every worker (key points and deletion costs are per-query state).
-    std::unique_ptr<KpfBoundPlan> bound;
-    if ((options_.use_kpf || options_.use_osf) && !query.empty()) {
-      bound = plans_.AcquireBound();
-      bound->Bind(options_.spec, query,
-                  options_.use_osf ? 1.0 : options_.sample_rate);
-    }
-
     // Batched plans defer their Offers to flush time, which is
     // result-identical under a *sound* bound (a pruned candidate provably
     // cannot enter the final top-K no matter when the cutoff tightened) but
@@ -198,6 +239,7 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
     // Bind the scratch on this thread: thread_local names are not captured
     // by lambdas, so the workers must go through these spans.
     const std::span<const int> candidates(candidate_scratch);
+    const std::span<const uint64_t> masks(mask_scratch);
     const std::span<const double> cached_bounds(bound_cache_scratch);
     const std::span<WorkerState> states(state_scratch);
     const KpfBoundPlan* bound_plan = bound.get();
@@ -250,6 +292,15 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
       }
     };
 
+    // The grid pre-bound of candidate `c`: whether its GBP mask alone proves
+    // it cannot enter the top-K. Grid candidates always have points, so
+    // this may run before anything reads the trajectory.
+    auto settled_by_mask = [&](size_t c, const SharedTopK* heap) {
+      return !masks.empty() &&
+             heap->ShouldPrune(bound_plan->GridBound(masks[c]),
+                               candidates[c] + id_offset);
+    };
+
     // Stages 2+3 for one candidate (by position in the ordered candidate
     // list), pruning against the worker's top-K. The prune is tie-aware —
     // SharedTopK compares (lower, id) against the published (K-th best,
@@ -258,6 +309,22 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
     // while staying order-independent across workers and shards.
     auto process = [&](size_t c, SharedTopK* heap, QueryRun* run, int width,
                        WorkerState* state) {
+      // The look-ahead: a candidate the grid pre-bound settles is never
+      // read, so only the others are prefetched. The verdict is kept for
+      // the candidate's turn; the cutoff only tightens, so a settled one
+      // stays settled, and one that was not goes straight to KPF (which is
+      // never below the pre-bound).
+      size_t& verdict = state->ahead[c % kPrefetchAhead];
+      const size_t own_verdict = verdict;
+      if (c + kPrefetchAhead < candidates.size()) {
+        const size_t a = c + kPrefetchAhead;
+        const bool settled = settled_by_mask(a, heap);
+        verdict = 2 * (a + 1) + (settled ? 1 : 0);
+        if (!settled) {
+          const int ahead = candidates[a];
+          PrefetchColumns(source.cols(ahead), source[ahead].size());
+        }
+      }
       const int id = candidates[c];
       if (id == excluded_id) {
         ++state->skipped;
@@ -268,16 +335,24 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
         ++state->skipped;
         return;
       }
+      const PointCols cols = source.cols(id);
       if (bound_plan != nullptr && heap->Cutoff() != kNoCutoff) {
-        double lower;
+        // The cascade: the grid pre-bound first (never above the KPF value,
+        // and ShouldPrune is monotone, so it prunes only what KPF would),
+        // then the KPF bound for what it left open.
+        bool prune;
         if (!cached_bounds.empty()) {
-          lower = cached_bounds[c];  // paid once in the ordering pre-pass
+          prune = heap->ShouldPrune(cached_bounds[c], id + id_offset);
         } else {
           state->bound_timer.Start();
-          lower = bound_plan->LowerBound(data);
+          const bool looked_ahead = own_verdict / 2 == c + 1;
+          prune = (looked_ahead ? (own_verdict & 1) != 0
+                                : settled_by_mask(c, heap)) ||
+                  heap->ShouldPrune(bound_plan->LowerBound(data, cols),
+                                    id + id_offset);
           state->bound_timer.Stop();
         }
-        if (heap->ShouldPrune(lower, id + id_offset)) {
+        if (prune) {
           ++state->pruned;
           return;
         }
@@ -286,7 +361,7 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
         // Batched plans: park the survivor; a full window flushes through
         // length-sorted RunBatch groups.
         state->batch_items[static_cast<size_t>(state->batch_pending)] =
-            QueryRun::RunBatchItem{data, source.cols(id)};
+            QueryRun::RunBatchItem{data, cols};
         state->batch_ids[static_cast<size_t>(state->batch_pending)] = id;
         if (++state->batch_pending == width * kBatchGroups) {
           flush(heap, run, width, state);
@@ -301,7 +376,7 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
       const double cutoff =
           options_.use_early_abandon ? heap->Cutoff() : kNoCutoff;
       state->pair_timer.Start();
-      const SearchResult result = run->RunCols(data, source.cols(id), cutoff);
+      const SearchResult result = run->RunCols(data, cols, cutoff);
       state->pair_timer.Stop();
       if (Discarded(result, cutoff)) ++state->abandoned;
       heap->Offer(EngineHit{id + id_offset, result});
@@ -368,8 +443,8 @@ void CandidatePipeline::Run(TrajectoryView query, const Source& source,
       local.simd_scalar_cells += state.cells.scalar_cells;
       local.simd_lane_abandons += state.cells.lane_abandons;
     }
-    if (bound != nullptr) plans_.ReleaseBound(std::move(bound));
   }
+  if (bound != nullptr) plans_.ReleaseBound(std::move(bound));
   local.prune_seconds = local.gbp_seconds + local.bound_seconds;
 
   // One registry fold per query: a handful of relaxed counter adds, so the

@@ -179,9 +179,12 @@ struct FunnelCounters {
 ///
 ///  1. candidate generation: the grid's GBP candidates, most-promising-first
 ///     (descending close count) when ordering is on, else the identity scan;
-///  2. the KPF/OSF bound, checked against the top-K before each search;
-///     without a grid and with ordering on, the bounds are computed once up
-///     front and the candidates run in ascending-bound order;
+///  2. the bound cascade, checked against the top-K before each search:
+///     with a grid, the grid pre-bound (KpfBoundPlan::GridBound, from the
+///     candidate's GBP mask, before its points are read), then the KPF/OSF
+///     bound for what the pre-bound left open; without a grid and with
+///     ordering on, the bounds are computed once up front and the
+///     candidates run in ascending-bound order;
 ///  3. per-trajectory search through one pooled, bind-once QueryRun per
 ///     worker, with the live top-K threshold as the early-abandon cutoff;
 ///     plans with a cross-candidate kernel evaluate pruning survivors in
@@ -200,7 +203,10 @@ class CandidatePipeline {
 
   /// Searches every candidate `source` offers for `query`. Ids in
   /// `source`, `grid` and `excluded_id` are source-local. A query without
-  /// candidates binds neither a search plan nor a bound plan. Instantiated
+  /// candidates binds no search plan; the bound plan is bound before
+  /// candidate generation, because the grid reads its key points. A query
+  /// with a NaN or infinite coordinate gets no candidates, binds nothing
+  /// and leaves `topk` untouched. Instantiated
   /// for (DatasetView, GridIndex) and (DeltaView, DeltaGridIndex).
   template <typename Source, typename Grid>
   void Run(TrajectoryView query, const Source& source, const Grid* grid,

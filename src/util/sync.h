@@ -234,28 +234,51 @@ class TRAJ_CAPABILITY("seqlock") SeqLock {
 // ---------------------------------------------------------------------------
 
 /// \brief Per-slot variant of the seqlock protocol for lock-free rings
-/// (obs::TraceRing): writers are *not* mutually excluded — each carries a
-/// unique monotonically increasing claim (from a fetch_add slot counter),
-/// stamps the slot odd (2*claim+1) before its payload stores and even
-/// (2*claim+2) after. A reader validates that the same even ticket bracketed
-/// its payload loads; a lapped or in-flight slot fails validation and is
-/// dropped. Because writers are unserialized this cannot be a tracked
-/// capability (two writers may legally race on one slot; the larger claim
-/// wins) — the type instead centralizes the stamp arithmetic and ordering so
-/// every ring spells the protocol the same way.
+/// (obs::TraceRing): writers are *not* mutually excluded by a lock — each
+/// carries a unique monotonically increasing claim (from a fetch_add slot
+/// counter). A writer takes the slot with one CAS from an even ticket below
+/// its own to the odd 2*claim+1, stores its payload, and publishes the even
+/// 2*claim+2. A writer whose CAS finds an odd ticket (another write in
+/// flight) or an even ticket at or above its own (a newer write already
+/// landed) loses: it must drop its payload, so at most one writer ever
+/// fills a slot at a time and a published ticket always names the writer
+/// whose payload the slot holds. A reader validates that the same even
+/// ticket bracketed its payload loads; a lapped or in-flight slot fails
+/// validation and is dropped.
+///
+/// Memory ordering is the standard seqlock's: the winning CAS is followed
+/// by a release fence, so no payload store is visible before the odd
+/// ticket; WriteEnd's release store publishes the payload; ReadBegin's
+/// acquire load pairs with it; and an acquire fence before ReadValidate's
+/// ticket load keeps the payload loads ahead of the validation. Because
+/// writers are unserialized this cannot be a tracked capability — the type
+/// instead centralizes the stamp arithmetic and ordering so every ring
+/// spells the protocol the same way.
 class TicketSeqLock {
  public:
   TicketSeqLock() = default;
   TicketSeqLock(const TicketSeqLock&) = delete;
   TicketSeqLock& operator=(const TicketSeqLock&) = delete;
 
-  /// Write-side bracket: marks the slot in-progress for `claim`. The
-  /// release pairs with readers' acquire in ReadValidate so payload stores
-  /// after this cannot be observed with an older even ticket.
-  void WriteBegin(uint64_t claim) {
-    ticket_.store(2 * claim + 1, std::memory_order_release);
+  /// Write-side bracket: tries to mark the slot in-progress for `claim`.
+  /// Returns false — and the caller must then write nothing and drop its
+  /// payload — if another write is in flight or a write of a claim at or
+  /// above `claim` has already been published.
+  [[nodiscard]] bool WriteBegin(uint64_t claim) {
+    const uint64_t odd = 2 * claim + 1;
+    // relaxed (load and CAS): the CAS only arbitrates ownership of the
+    // slot; the release fence below orders the payload stores after it.
+    uint64_t seen = ticket_.load(std::memory_order_relaxed);
+    do {
+      if ((seen & 1u) != 0 || seen >= odd) return false;
+    } while (!ticket_.compare_exchange_weak(seen, odd,
+                                            std::memory_order_relaxed,
+                                            std::memory_order_relaxed));
+    std::atomic_thread_fence(std::memory_order_release);
+    return true;
   }
-  /// Write-side close: publishes the slot as complete for `claim`.
+  /// Write-side close, after a successful WriteBegin: publishes the slot as
+  /// complete for `claim`.
   void WriteEnd(uint64_t claim) {
     ticket_.store(2 * claim + 2, std::memory_order_release);
   }
@@ -268,7 +291,10 @@ class TicketSeqLock {
   /// Read-side close: true if the ticket is unchanged since ReadBegin — the
   /// payload loads in between saw one complete write.
   bool ReadValidate(uint64_t claim) const {
-    return ticket_.load(std::memory_order_acquire) == 2 * claim + 2;
+    std::atomic_thread_fence(std::memory_order_acquire);
+    // relaxed: the acquire fence above orders the caller's payload loads
+    // before this load; a changed ticket means a writer overlapped them.
+    return ticket_.load(std::memory_order_relaxed) == 2 * claim + 2;
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "gen/taxi.h"
 #include "gen/workload.h"
 #include "search/cma.h"
@@ -312,6 +314,40 @@ TEST(EngineTest, EarlyAbandonToggleDoesNotChangeResults) {
             << ToString(spec.kind) << " rank " << i;
         EXPECT_EQ(a[i].result.range, b[i].result.range)
             << ToString(spec.kind) << " rank " << i;
+      }
+    }
+  }
+}
+
+TEST(EngineTest, NonFiniteQueryGetsNoCandidatesAndNoHits) {
+  // A NaN or infinite query coordinate has no grid cell and no distance:
+  // the pipeline checks once per query and returns an empty result, with
+  // GBP on or off and with the bounds on or off.
+  const Dataset dataset = WalkDataset(40, 15, 404);
+  Rng rng(405);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    for (const bool gbp : {true, false}) {
+      for (const bool kpf : {true, false}) {
+        EngineOptions options;
+        options.spec = DistanceSpec::Dtw();
+        options.use_gbp = gbp;
+        options.use_kpf = kpf;
+        options.mu = 0.1;
+        options.top_k = 3;
+        const SearchEngine engine(&dataset, options);
+        Trajectory query = RandomWalk(&rng, 8);
+        ASSERT_FALSE(engine.Query(query.View()).empty());
+        std::vector<Point> points(query.points().begin(),
+                                  query.points().end());
+        points[3].y = bad;
+        const Trajectory broken(std::move(points));
+        QueryStats stats;
+        EXPECT_TRUE(engine.Query(broken.View(), &stats).empty())
+            << bad << " gbp " << gbp << " kpf " << kpf;
+        EXPECT_EQ(stats.candidates_after_gbp, 0);
+        EXPECT_EQ(stats.searched, 0);
       }
     }
   }

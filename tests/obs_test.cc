@@ -315,7 +315,20 @@ TEST(TraceRing, ConcurrentWritersNeverTearSpans) {
   stop.store(true);
   reader.join();
   EXPECT_EQ(ring.recorded(), static_cast<uint64_t>(kThreads) * kSpans);
-  EXPECT_EQ(ring.Snapshot().size(), ring.capacity());
+  // A claim whose slot a concurrent write held is dropped, so the final
+  // window of the run may hold fewer than capacity() spans.
+  EXPECT_LE(ring.Snapshot().size(), ring.capacity());
+  // With every writer joined no write is in flight: capacity() more spans
+  // on one thread all land, and the ring keeps exactly those, oldest first.
+  const uint64_t dropped = ring.dropped();
+  const uint64_t first = static_cast<uint64_t>(kThreads) * kSpans;
+  for (uint64_t i = 0; i < ring.capacity(); ++i) ring.Record(Span(first + i));
+  EXPECT_EQ(ring.dropped(), dropped);
+  const std::vector<TraceSpan> spans = ring.Snapshot();
+  ASSERT_EQ(spans.size(), ring.capacity());
+  for (size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].query_id, first + i);
+  }
 }
 
 // ---------------------------------------------------------------------------

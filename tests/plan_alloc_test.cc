@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "io/snapshot.h"
 #include "io/snapshot_v4.h"
+#include "prune/delta_grid.h"
+#include "prune/grid_index.h"
 #include "prune/key_point_filter.h"
 #include "search/engine.h"
 #include "search/searcher.h"
@@ -42,6 +46,18 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
 }
 __attribute__((noinline)) void* operator new[](std::size_t size) {
   return ::operator new(size);
+}
+// The nothrow forms count into the same audit: libstdc++'s
+// get_temporary_buffer (std::stable_sort, std::inplace_merge) allocates
+// through them, and they must pair with the replaced deletes below.
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+__attribute__((noinline)) void* operator new[](
+    std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
 }
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
@@ -403,6 +419,87 @@ TEST(PlanAllocTest, KpfBoundPlanLowerBoundDoesNotAllocate) {
     EXPECT_EQ(AllocationCount() - before, 0)
         << ToString(spec.kind) << " bound allocated (checksum " << sum << ")";
   }
+}
+
+TEST(AllocationAuditTest, NothrowAllocationsAreCounted) {
+  // std::stable_sort takes its merge buffer from get_temporary_buffer, i.e.
+  // the nothrow operator new; the audit must see it.
+  std::vector<int> values(4096);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int>((i * 7919) % 1024);
+  }
+  const long long before = AllocationCount();
+  std::stable_sort(values.begin(), values.end());
+  EXPECT_GT(AllocationCount() - before, 0);
+  EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+}
+
+TEST(PlanAllocTest, GridCandidateGenerationDoesNotAllocateInSteadyState) {
+  // The GBP counting pass keeps its slots, block cells and survivor lists in
+  // per-thread scratch: after a warm-up, candidate generation (with and
+  // without block masks, over both grids, for queries on both sides of the
+  // 64-point block) must not allocate.
+  Rng rng(6060);
+  Dataset dataset("alloc-grid");
+  DeltaGridIndex delta(0.5);
+  for (int i = 0; i < 200; ++i) {
+    const Trajectory t = RandomWalk(&rng, 30);
+    dataset.Add(t);
+    delta.Add(t.View());
+  }
+  const GridIndex grid(dataset, 0.5);
+  std::vector<Trajectory> queries;
+  for (const int length : {8, 64, 90}) queries.push_back(RandomWalk(&rng, length));
+  const std::vector<int> mask_points = {0, 3, 7};
+  std::vector<int> ids;
+  std::vector<uint64_t> masks;
+  auto generate = [&]() {
+    for (const Trajectory& q : queries) {
+      for (const CandidateOrder order :
+           {CandidateOrder::kById, CandidateOrder::kByCloseCount}) {
+        // Block masks exist for queries of at most 64 points only.
+        const std::span<const int> masked =
+            q.View().size() <= CloseCounter::kMaskBits
+                ? std::span<const int>(mask_points)
+                : std::span<const int>{};
+        grid.Select(q.View(), 0.2, order, masked, &ids, &masks);
+        grid.Select(q.View(), 0.2, order, {}, &ids, &masks);
+        delta.Select(q.View(), 0.2, order, masked, &ids, &masks);
+      }
+      grid.OrderedCandidates(q.View(), 0.2, &ids);
+      delta.OrderedCandidates(q.View(), 0.2, &ids);
+    }
+  };
+  generate();
+  const long long before = AllocationCount();
+  for (int pass = 0; pass < 3; ++pass) generate();
+  EXPECT_EQ(AllocationCount() - before, 0);
+}
+
+TEST(PlanAllocTest, GriddedEngineQueriesAllocatePerQueryNotPerCandidate) {
+  // The engine with GBP, the grid pre-bound and KPF: per-thread candidate,
+  // mask and worker scratch is reused, so the per-query allocations stay a
+  // small constant however many candidates the query has.
+  Rng rng(7070);
+  Dataset dataset("alloc-engine");
+  for (int i = 0; i < 400; ++i) dataset.Add(RandomWalk(&rng, 24));
+  EngineOptions options;
+  options.spec = DistanceSpec::Dtw();
+  options.cell_size = 1.0;
+  options.mu = 0.1;
+  options.sample_rate = 0.2;
+  options.top_k = 4;
+  const SearchEngine engine(&dataset, options);
+  const Trajectory query = RandomWalk(&rng, 10);
+  QueryStats stats;
+  for (int pass = 0; pass < 4; ++pass) (void)engine.Query(query, &stats);
+  ASSERT_GT(stats.candidates_after_gbp, 64);
+
+  const int kQueries = 16;
+  const long long before = AllocationCount();
+  for (int pass = 0; pass < kQueries; ++pass) (void)engine.Query(query);
+  EXPECT_LE((AllocationCount() - before) / kQueries, 16)
+      << "the gridded pipeline allocates per candidate";
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 //  * Plan reuse: one QueryRun rebound across different queries returns
 //    exactly what fresh plans return (no scratch leakage between binds).
 //  * KpfBoundPlan reproduces the stateless KPF/OSF bounds bit for bit.
+//  * Funnel identity: the engine's bound cascade (grid pre-bound, then the
+//    KPF bound) prunes, runs and abandons exactly the candidates a plain
+//    serial loop over the stateless KPF estimate does.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +26,7 @@
 #include "prune/key_point_filter.h"
 #include "search/engine.h"
 #include "search/searcher.h"
+#include "search/topk.h"
 #include "service/query_service.h"
 #include "tests/legacy_baseline.h"
 #include "tests/test_util.h"
@@ -476,6 +480,116 @@ TEST(KpfBoundPlanTest, MatchesStatelessBoundsBitForBit) {
           << ToString(spec.kind);
     }
   }
+}
+
+/// The pruning funnel of one query.
+struct Funnel {
+  int skipped = 0;
+  int pruned = 0;
+  int searched = 0;
+  int abandoned = 0;
+  /// Candidates the grid pre-bound alone would have pruned at the moment
+  /// the reference loop checked them (evidence the cascade is exercised).
+  int pre_bound_prunable = 0;
+};
+
+/// The serial pipeline written out plainly: GBP candidates in close-count
+/// order, the stateless KPF estimate against the top-K before each search,
+/// then one plan run with the live cutoff.
+std::vector<EngineHit> ReferenceQuery(const EngineOptions& options,
+                                      const Dataset& data,
+                                      const GridIndex& grid,
+                                      TrajectoryView query, int excluded,
+                                      Funnel* funnel) {
+  const double rate = options.use_osf ? 1.0 : options.sample_rate;
+  std::vector<int> ids;
+  grid.OrderedCandidates(query, options.mu, &ids);
+  KpfBoundPlan pre;
+  pre.Bind(options.spec, query, rate, grid.cell_size());
+  std::vector<int> mask_ids;
+  std::vector<uint64_t> masks;
+  grid.Select(query, options.mu, CandidateOrder::kByCloseCount,
+              pre.mask_points(), &mask_ids, &masks);
+  EXPECT_EQ(mask_ids, ids);
+
+  SharedTopK topk(options.top_k);
+  const std::unique_ptr<Searcher> searcher = MakeEngineSearcher(options);
+  std::unique_ptr<QueryRun> run = searcher->NewRun();
+  run->Bind(query);
+  for (size_t c = 0; c < ids.size(); ++c) {
+    const int id = ids[c];
+    if (id == excluded || data[id].empty()) {
+      ++funnel->skipped;
+      continue;
+    }
+    if (topk.Cutoff() != kNoCutoff) {
+      if (!masks.empty() && topk.ShouldPrune(pre.GridBound(masks[c]), id)) {
+        ++funnel->pre_bound_prunable;
+      }
+      const double lower =
+          KpfLowerBoundEstimate(options.spec, query, data[id], rate);
+      if (topk.ShouldPrune(lower, id)) {
+        ++funnel->pruned;
+        continue;
+      }
+    }
+    const double cutoff = topk.Cutoff();
+    const SearchResult result = run->RunCols(data[id], data.cols(id), cutoff);
+    if (!result.found() || (cutoff != kNoCutoff && result.distance >= cutoff)) {
+      ++funnel->abandoned;
+    }
+    topk.Offer(EngineHit{id, result});
+    ++funnel->searched;
+  }
+  return topk.Sorted();
+}
+
+TEST(BoundCascadeTest, EngineFunnelMatchesSerialKpfReference) {
+  const Dataset dataset = WalkDataset(300, 22, 2024);
+  Rng rng(909);
+  int pre_bound_prunable = 0;
+  for (const DistanceSpec& spec : testing::PaperGpsSpecs()) {
+    for (const double rate : {0.05, 0.3}) {
+      EngineOptions options;
+      options.spec = spec;
+      options.algorithm = Algorithm::kCma;
+      options.cell_size = 1.0;
+      options.mu = 0.2;
+      options.sample_rate = rate;
+      options.top_k = 3;
+      options.threads = 1;
+      const SearchEngine engine(&dataset, options);
+      ASSERT_NE(engine.grid(), nullptr);
+      for (int q = 0; q < 12; ++q) {
+        // Half the queries are windows of corpus trajectories (their source
+        // excluded), half fresh walks.
+        const int source = static_cast<int>(rng.UniformInt(0, 299));
+        const TrajectoryView host = dataset[source];
+        const size_t len = std::min<size_t>(host.size(), 6 + q);
+        const Trajectory query =
+            q % 2 == 0 ? Trajectory(host.subspan(0, len))
+                       : RandomWalk(&rng, static_cast<int>(len));
+        const int excluded = q % 2 == 0 ? source : -1;
+        const std::string label = std::string(ToString(spec.kind)) +
+                                  " rate " + std::to_string(rate) +
+                                  " query " + std::to_string(q);
+
+        QueryStats stats;
+        const std::vector<EngineHit> hits =
+            engine.Query(query.View(), &stats, excluded);
+        Funnel want;
+        const std::vector<EngineHit> want_hits = ReferenceQuery(
+            options, dataset, *engine.grid(), query.View(), excluded, &want);
+        ExpectIdenticalHits(hits, want_hits, label);
+        EXPECT_EQ(stats.skipped, want.skipped) << label;
+        EXPECT_EQ(stats.pruned_by_bound, want.pruned) << label;
+        EXPECT_EQ(stats.searched, want.searched) << label;
+        EXPECT_EQ(stats.abandoned, want.abandoned) << label;
+        pre_bound_prunable += want.pre_bound_prunable;
+      }
+    }
+  }
+  EXPECT_GT(pre_bound_prunable, 0) << "the grid pre-bound never fired";
 }
 
 }  // namespace

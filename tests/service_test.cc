@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -548,6 +549,38 @@ TEST(MergeTopKTest, MergesPartsIntoGlobalBestFirst) {
   EXPECT_EQ(merged[0].trajectory_id, 4);
   EXPECT_EQ(merged[1].trajectory_id, 1);
   EXPECT_EQ(merged[2].trajectory_id, 3);
+}
+
+TEST(QueryServiceTest, NonFiniteQueryInBatchGetsAnEmptyResult) {
+  // One non-finite query in a batch gets no hits; its neighbours are
+  // answered exactly as the unsharded engine answers them.
+  const Dataset dataset = WalkDataset(40, 14, 515);
+  ServiceOptions options;
+  options.engine = SoundOptions(DistanceSpec::Dtw(), 2);
+  options.engine.use_gbp = true;
+  options.engine.mu = 0.1;
+  options.shards = 2;
+  options.cache_capacity = 16;
+  QueryService service(dataset, options);
+  Rng rng(516);
+  const Trajectory a = RandomWalk(&rng, 7);
+  const Trajectory b = RandomWalk(&rng, 7);
+  std::vector<Point> points(a.points().begin(), a.points().end());
+  points[0].x = std::numeric_limits<double>::quiet_NaN();
+  const Trajectory nan_query(points);
+  points[0].x = std::numeric_limits<double>::infinity();
+  const Trajectory inf_query(std::move(points));
+
+  const std::vector<std::vector<EngineHit>> batch = service.SubmitBatch(
+      {a.View(), nan_query.View(), b.View(), inf_query.View()});
+  ASSERT_EQ(batch.size(), 4u);
+  EXPECT_TRUE(batch[1].empty());
+  EXPECT_TRUE(batch[3].empty());
+  const SearchEngine engine(&dataset, options.engine);
+  ASSERT_FALSE(batch[0].empty());
+  ExpectSameHits(batch[0], engine.Query(a.View()));
+  ExpectSameHits(batch[2], engine.Query(b.View()));
+  EXPECT_TRUE(service.Submit(nan_query.View()).empty());
 }
 
 }  // namespace

@@ -134,17 +134,59 @@ TEST(SeqLockTest, ReadersNeverObserveTornPairs) {
 TEST(TicketSeqLockTest, StampsFollowClaimArithmetic) {
   TicketSeqLock ticket;
   EXPECT_FALSE(ticket.ReadBegin(0));  // unwritten slot validates nothing
-  ticket.WriteBegin(0);
+  ASSERT_TRUE(ticket.WriteBegin(0));
   EXPECT_FALSE(ticket.ReadBegin(0));  // in-flight write is invisible
   ticket.WriteEnd(0);
   EXPECT_TRUE(ticket.ReadBegin(0));
   EXPECT_TRUE(ticket.ReadValidate(0));
   // A lapping writer (same slot, later claim) invalidates the old claim.
-  ticket.WriteBegin(7);
+  ASSERT_TRUE(ticket.WriteBegin(7));
   EXPECT_FALSE(ticket.ReadValidate(0));
   ticket.WriteEnd(7);
   EXPECT_TRUE(ticket.ReadValidate(7));
   EXPECT_FALSE(ticket.ReadValidate(0));
+}
+
+TEST(TicketSeqLockTest, LappedAndStaleWritersNeverShareASlot) {
+  // In a 16-slot ring, claim 3 (a writer stalled after its fetch_add) and
+  // claim 19 (a writer that lapped the ring meanwhile) map to one slot.
+  // Replays, on one thread, the interleaving that tore spans: both writers
+  // between WriteBegin and WriteEnd at once. The payload is two words that
+  // a consistent slot holds as (claim, 2 * claim).
+  std::atomic<uint64_t> first{0};
+  std::atomic<uint64_t> second{0};
+  auto consistent = [&](const TicketSeqLock& slot, uint64_t claim) {
+    if (!slot.ReadBegin(claim)) return false;
+    const uint64_t a = first.load();
+    const uint64_t b = second.load();
+    return slot.ReadValidate(claim) && a == claim && b == 2 * claim;
+  };
+
+  // Lapping writer first. The stale writer arrives mid-write and loses,
+  // so it stores nothing; it still loses once the newer span is published.
+  TicketSeqLock lapped;
+  ASSERT_TRUE(lapped.WriteBegin(19));
+  first.store(19);
+  EXPECT_FALSE(lapped.WriteBegin(3));
+  second.store(38);
+  lapped.WriteEnd(19);
+  EXPECT_FALSE(lapped.WriteBegin(3));
+  EXPECT_TRUE(consistent(lapped, 19));
+  EXPECT_FALSE(lapped.ReadBegin(3));
+
+  // Stale writer first. The lapping writer loses while it is in flight, so
+  // the stale writer's publish names the payload it wrote, alone.
+  TicketSeqLock stale;
+  ASSERT_TRUE(stale.WriteBegin(3));
+  first.store(3);
+  EXPECT_FALSE(stale.WriteBegin(19));
+  second.store(6);
+  stale.WriteEnd(3);
+  EXPECT_TRUE(consistent(stale, 3));
+  EXPECT_FALSE(stale.ReadBegin(19));
+  // Once the slot is published again, a newer claim takes it.
+  EXPECT_TRUE(stale.WriteBegin(35));
+  EXPECT_FALSE(stale.ReadBegin(3));
 }
 
 }  // namespace
